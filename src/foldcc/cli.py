@@ -6,7 +6,9 @@ generate, info.  Reports go to stdout in the canonical key/value form;
 
 Exit codes: validate returns 0 iff the complex is an FCC; rank returns
 0 = split, 1 = rank one, 2 = inconclusive; 64 = malformed input or usage,
-65 = input fails a precondition, 70 = internal error.
+65 = input fails a precondition, 70 = internal error
+(ConstructionFailed or any other unexpected exception).  Every error
+prints one `error:` line to stderr.
 """
 
 import argparse
@@ -14,7 +16,8 @@ import os
 import sys
 
 from . import core, decomposition, generators, geodesic, rank
-from .errors import FoldccError, NotAComplex, ParseError
+from .errors import (ConstructionFailed, FoldccError, NotAComplex,
+                     ParseError, UnknownVertex)
 from .folding import (NotFoldable, coloring_from, find_folding,
                       serialize_folding)
 
@@ -132,6 +135,8 @@ def cmd_rank(args):
 def cmd_geodesic(args):
     cplx, coloring = _colored(args.file)
     v = args.from_vertex
+    if not (0 <= v < cplx.vertex_count):
+        raise UnknownVertex("vertex %d" % v)
     simv = geodesic.sim_v_classes(cplx, coloring, v)
     pairs = [("vertex", v), ("classes", len(simv.partition))]
     for j, part in enumerate(simv.partition):
@@ -286,9 +291,17 @@ def main(argv=None):
     except (ValueError, KeyError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EX_USAGE
+    except ConstructionFailed as exc:
+        print("error: internal: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EX_INTERNAL
     except FoldccError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EX_DATAERR
+    except Exception as exc:
+        print("error: internal: %s: %s" % (type(exc).__name__, exc),
+              file=sys.stderr)
+        return EX_INTERNAL
 
 
 if __name__ == "__main__":

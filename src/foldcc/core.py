@@ -3,9 +3,11 @@
 A k-cube is stored as a tuple of 2^k corner vertices in binary-coordinate
 order: the corner at position b has coordinate j equal to bit j of b.  Two
 distinct cubes of a complex never share their full vertex set, so a cube is
-identified by its vertex set and kept in a canonical corner order (the
+identified by its vertex set and kept in a canonical corner order: the
+smallest corner first, then its neighbours in increasing order at positions
+1, 2, 4, ..., 2^(k-1), which fixes every other position.  This is the
 lexicographic minimum over the 2^k * k! symmetries of the combinatorial
-cube).
+cube.
 
 Simplices are stored as sorted vertex tuples.
 
@@ -21,6 +23,7 @@ that generated files round-trip byte-identically.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -28,29 +31,16 @@ from .errors import NotAComplex, ParseError, UnknownVertex
 
 
 # ---------------------------------------------------------------------------
-# cube symmetries and canonical forms
+# canonical forms
 
 @lru_cache(maxsize=None)
-def cube_symmetries(k):
-    """Position permutations realizing all 2^k * k! symmetries of a k-cube.
-
-    Each entry m satisfies: candidate corner tuple = (c[m[0]], ..., c[m[2^k-1]]).
-
-    >>> len(cube_symmetries(2))
-    8
-    """
-    maps = []
-    for perm in itertools.permutations(range(k)):
-        for mask in range(1 << k):
-            m = []
-            for i in range(1 << k):
-                b = 0
-                for j in range(k):
-                    if ((i >> perm[j]) & 1) ^ ((mask >> j) & 1):
-                        b |= 1 << j
-                m.append(b)
-            maps.append(tuple(m))
-    return tuple(maps)
+def _corner_picker(p0, axes):
+    # corner tuple -> canonical order, for the smallest corner at position
+    # p0 and the cube's axes listed by increasing neighbour of that corner
+    order = [p0]
+    for a in axes:
+        order += [p ^ (1 << a) for p in order]
+    return operator.itemgetter(*order)
 
 
 def canonical_cube(corners):
@@ -60,12 +50,9 @@ def canonical_cube(corners):
         raise NotAComplex("corner count %d is not a power of two" % len(corners))
     if k == 0:
         return tuple(corners)
-    best = None
-    for m in cube_symmetries(k):
-        cand = tuple(corners[i] for i in m)
-        if best is None or cand < best:
-            best = cand
-    return best
+    p0 = corners.index(min(corners))
+    axes = sorted(range(k), key=lambda j: corners[p0 ^ (1 << j)])
+    return _corner_picker(p0, tuple(axes))(corners)
 
 
 def cube_face(corners, axis, side):
@@ -74,16 +61,73 @@ def cube_face(corners, axis, side):
     return tuple(corners[b] for b in range(1 << k) if (b >> axis) & 1 == side)
 
 
-def _is_position_face(positions, size):
-    # positions: set of corner positions inside a cube; True iff they form
-    # the position set of a face (all bits outside the mixed bits agree).
+def _is_position_face(positions):
+    # positions: distinct corner positions inside a cube; True iff they
+    # form the position set of a face (all bits outside the mixed bits agree)
     and_mask = ~0
     or_mask = 0
     for p in positions:
         and_mask &= p
         or_mask |= p
     free = or_mask & ~and_mask
-    return size == 1 << free.bit_count()
+    return len(positions) == 1 << free.bit_count()
+
+
+def _face_closure(vertex_count, maximal):
+    """Face closure of a list of corner tuples.
+
+    Returns the cubes by dim (each level sorted, level 0 all vertices), the
+    map vertex set -> (dim, index) and the face table of CubicalComplex.
+    Every face is canonicalized once per cube it bounds.
+    """
+    levels = {}   # dim -> canonical cubes in order of discovery
+    found = {}    # vertex set -> position in levels[dim]
+    facets = {}   # dim -> positions in levels[dim-1] of each cube's faces
+
+    def place(cube, k):
+        level = levels.setdefault(k, [])
+        j = found.setdefault(frozenset(cube), len(level))
+        if j == len(level):
+            level.append(cube)
+        elif level[j] != cube:
+            raise NotAComplex("two distinct cubes on the same vertex set",
+                              detail=(level[j], cube))
+        return j
+
+    for corners in maximal:
+        k = (len(corners) - 1).bit_length()
+        if len(corners) != 1 << k:
+            raise NotAComplex("cube with %d corners" % len(corners))
+        if len(set(corners)) != len(corners):
+            raise NotAComplex("cube has repeated corners", detail=(tuple(corners),))
+        for v in corners:
+            if not (0 <= v < vertex_count):
+                raise NotAComplex("corner %d out of range" % v)
+        place(canonical_cube(tuple(corners)), k)
+    top = max(levels) if levels else 0
+    # faces only go down, so level k is complete once level k+1 is done
+    for k in range(top, 0, -1):
+        facets[k] = [place(canonical_cube(cube_face(cube, axis, side)), k - 1)
+                     for cube in levels.get(k, ())
+                     for axis in range(k) for side in (0, 1)]
+
+    cubes_by_dim = [tuple((v,) for v in range(vertex_count))]
+    face_table = [[]]
+    ranks = [[v for (v,) in levels.get(0, ())]]   # position -> index
+    for k in range(1, top + 1):
+        level = levels.get(k, [])
+        order = sorted(range(len(level)), key=level.__getitem__)
+        cubes_by_dim.append(tuple(level[j] for j in order))
+        below, flat, w = ranks[-1], facets[k], 2 * k
+        face_table.append([below[p] for j in order
+                           for p in flat[w * j:w * j + w]])
+        ranks.append(sorted(range(len(level)), key=order.__getitem__))
+    for vset, j in found.items():
+        k = (len(vset) - 1).bit_length()
+        found[vset] = (k, ranks[k][j])
+    for v in range(vertex_count):
+        found.setdefault(frozenset((v,)), (0, v))
+    return tuple(cubes_by_dim), found, face_table
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +140,20 @@ class CubicalComplex:
     queries are pure.
     """
 
-    def __init__(self, vertex_count, cubes_by_dim, provenance=None):
+    def __init__(self, vertex_count, cubes_by_dim, provenance=None,
+                 by_vset=None, face_table=None):
         # internal: use from_maximal_cubes / _from_closed
         self.vertex_count = vertex_count
         self.cubes = cubes_by_dim  # tuple over dims of tuples of corner tuples
         self.provenance = provenance
-        self._index = [
-            {c: i for i, c in enumerate(level)} for level in self.cubes
-        ]
-        self._by_vset = {}
-        for k, level in enumerate(self.cubes):
-            for i, c in enumerate(level):
-                self._by_vset[frozenset(c)] = (k, i)
+        if by_vset is None:
+            by_vset = {frozenset(c): (k, i)
+                       for k, level in enumerate(self.cubes)
+                       for i, c in enumerate(level)}
+        self._by_vset = by_vset
+        # per dim k: face indices (in dim k-1) of every k-cube, 2k per cube
+        # in axis/side order
+        self._faces = face_table
         self._adj = None
         self._link_adj = None
         self._star = None
@@ -126,43 +172,9 @@ class CubicalComplex:
         `check_intersections` is set) on a pair of cubes whose vertex sets
         intersect in something that is not a common face.
         """
-        levels = {}   # dim -> dict canonical tuple -> None (ordered set)
-        by_vset = {}  # frozenset -> canonical tuple
-        stack = []
-        for corners in maximal:
-            k = (len(corners) - 1).bit_length()
-            if len(corners) != 1 << k:
-                raise NotAComplex("cube with %d corners" % len(corners))
-            if len(set(corners)) != len(corners):
-                raise NotAComplex("cube has repeated corners", detail=(tuple(corners),))
-            for v in corners:
-                if not (0 <= v < vertex_count):
-                    raise NotAComplex("corner %d out of range" % v)
-            stack.append(canonical_cube(tuple(corners)))
-        while stack:
-            cube = stack.pop()
-            k = (len(cube) - 1).bit_length()
-            vset = frozenset(cube)
-            seen = by_vset.get(vset)
-            if seen is not None:
-                if seen != cube:
-                    raise NotAComplex(
-                        "two distinct cubes on the same vertex set",
-                        detail=(seen, cube))
-                continue
-            by_vset[vset] = cube
-            levels.setdefault(k, {})[cube] = None
-            for axis in range(k):
-                for side in (0, 1):
-                    stack.append(canonical_cube(cube_face(cube, axis, side)))
-        top = max(levels) if levels else 0
-        cubes_by_dim = []
-        for k in range(top + 1):
-            level = sorted(levels.get(k, {}))
-            if k == 0:
-                level = [(v,) for v in range(vertex_count)]
-            cubes_by_dim.append(tuple(level))
-        cplx = cls(vertex_count, tuple(cubes_by_dim), provenance=provenance)
+        cubes_by_dim, by_vset, face_table = _face_closure(vertex_count, maximal)
+        cplx = cls(vertex_count, cubes_by_dim, provenance=provenance,
+                   by_vset=by_vset, face_table=face_table)
         if check_intersections:
             cplx._check_intersections()
         return cplx
@@ -171,12 +183,9 @@ class CubicalComplex:
     def _from_closed(cls, vertex_count, cubes_by_dim):
         # cubes already face-closed (e.g. relabelled from a closed complex);
         # tuples are re-canonicalized but no closure or axiom check is run.
-        levels = []
-        for k, level in enumerate(cubes_by_dim):
-            if k == 0:
-                levels.append(tuple((v,) for v in range(vertex_count)))
-            else:
-                levels.append(tuple(sorted(canonical_cube(c) for c in set(level))))
+        levels = [tuple((v,) for v in range(vertex_count))] + [
+            tuple(sorted(canonical_cube(c) for c in set(level)))
+            for level in cubes_by_dim[1:]]
         while len(levels) > 1 and not levels[-1]:
             levels.pop()
         return cls(vertex_count, tuple(levels))
@@ -186,37 +195,21 @@ class CubicalComplex:
         # on pairs of maximal cubes once the complex is face-closed and
         # cubes are determined by their vertex sets, so only maximal pairs
         # are examined.  Each pair is handled at the least common vertex.
-        maximal = self.maximal_cubes()
+        maximal = [self.cubes[k][i] for k, i in self.maximal_cubes()]
+        vsets = [frozenset(cube) for cube in maximal]
         at = [[] for _ in range(self.vertex_count)]
-        vsets = []
-        for j, (k, i) in enumerate(maximal):
-            cube = self.cubes[k][i]
-            vsets.append(frozenset(cube))
+        for j, cube in enumerate(maximal):
             for v in cube:
                 at[v].append(j)
         for v in range(self.vertex_count):
-            here = at[v]
-            for a, b in itertools.combinations(here, 2):
+            for a, b in itertools.combinations(at[v], 2):
                 inter = vsets[a] & vsets[b]
                 if min(inter) != v:
                     continue
-                if not self._common_face(maximal[a], inter):
-                    raise NotAComplex(
-                        "cube intersection is not a face",
-                        detail=(self._cube_of(maximal[a]), self._cube_of(maximal[b])))
-                if not self._common_face(maximal[b], inter):
-                    raise NotAComplex(
-                        "cube intersection is not a face",
-                        detail=(self._cube_of(maximal[a]), self._cube_of(maximal[b])))
-
-    def _cube_of(self, ref):
-        return self.cubes[ref[0]][ref[1]]
-
-    def _common_face(self, ref, vset):
-        cube = self._cube_of(ref)
-        pos = {w: p for p, w in enumerate(cube)}
-        positions = [pos[w] for w in vset]
-        return _is_position_face(positions, len(positions))
+                if not all(_is_position_face([maximal[j].index(w) for w in inter])
+                           for j in (a, b)):
+                    raise NotAComplex("cube intersection is not a face",
+                                      detail=(maximal[a], maximal[b]))
 
     # -- basic queries -------------------------------------------------------
 
@@ -241,21 +234,24 @@ class CubicalComplex:
 
     def faces(self, k, i):
         """The 2k codimension-1 faces of cube (k, i), in axis/side order."""
-        cube = self.cubes[k][i]
-        out = []
-        for axis in range(k):
-            for side in (0, 1):
-                f = canonical_cube(cube_face(cube, axis, side))
-                out.append((k - 1, self._index[k - 1][f]))
-        return out
+        return [(k - 1, fi)
+                for fi in self._face_table()[k][2 * k * i:2 * k * (i + 1)]]
+
+    def _face_table(self):
+        if self._faces is None:
+            by_vset = self._by_vset
+            self._faces = [
+                [by_vset[frozenset(cube_face(cube, axis, side))][1]
+                 for cube in level for axis in range(k) for side in (0, 1)]
+                for k, level in enumerate(self.cubes)]
+        return self._faces
 
     def _build_cofaces(self):
         if self._cofaces is None:
             tables = [[[] for _ in level] for level in self.cubes]
-            for d in range(1, len(self.cubes)):
-                for i2, _ in enumerate(self.cubes[d]):
-                    for fd, fi in self.faces(d, i2):
-                        tables[fd][fi].append((d, i2))
+            for d, row in enumerate(self._face_table()):
+                for j, fi in enumerate(row):
+                    tables[d - 1][fi].append((d, j // (2 * d)))
             self._cofaces = tables
         return self._cofaces
 
@@ -263,15 +259,27 @@ class CubicalComplex:
         return self._build_cofaces()[k][i]
 
     def maximal_cubes(self):
+        """Cubes that are no face of another cube, in (dim, index) order."""
         if self._maximal is None:
-            tables = self._build_cofaces()
-            out = []
-            for d, level in enumerate(self.cubes):
-                for i in range(len(level)):
-                    if not tables[d][i]:
-                        out.append((d, i))
-            self._maximal = out
+            covered = [bytearray(len(level)) for level in self.cubes]
+            for d, row in enumerate(self._face_table()):
+                for fi in row:
+                    covered[d - 1][fi] = 1
+            self._maximal = [(d, i) for d, marks in enumerate(covered)
+                             for i, mark in enumerate(marks) if not mark]
         return self._maximal
+
+    def homogeneity_witness(self):
+        """A cube that lies below no top cube, or None.
+
+        Faces are codimension-1, so such a cube is a maximal cube of lower
+        dimension; the first one in (dim, index) order is returned.
+        """
+        maximal = self.maximal_cubes()
+        if maximal and maximal[0][0] < self.dim:
+            k, i = maximal[0]
+            return self.cubes[k][i]
+        return None
 
     def neighbors(self, v):
         if self._adj is None:
@@ -663,21 +671,8 @@ def validate_fcc(cplx, folding=None):
 
     n = cplx.dim
     connected = cplx.vertex_count > 0 and cplx.is_connected()
-    homogeneous = n >= 1
-    homog_witness = None
-    if n >= 1:
-        for k in range(n):
-            covered = set()
-            for i in range(cplx.n_cubes(k + 1)):
-                for fd, fi in cplx.faces(k + 1, i):
-                    covered.add(fi)
-            for i in range(cplx.n_cubes(k)):
-                if i not in covered:
-                    homogeneous = False
-                    homog_witness = cplx.cubes[k][i]
-                    break
-            if not homogeneous:
-                break
+    homog_witness = cplx.homogeneity_witness() if n >= 1 else None
+    homogeneous = n >= 1 and homog_witness is None
     no_boundary = n >= 1
     boundary_witness = None
     if homogeneous and n >= 1:
@@ -766,8 +761,9 @@ def _parse_cell_file(text, kind, cell_word):
             if vertex_count < 0:
                 raise ParseError("line %d: negative vertex count" % lineno)
             continue
-        if parts[0] != cell_word:
-            raise ParseError("line %d: expected '%s'" % (lineno, cell_word))
+        if parts[0] != cell_word or len(parts) < 2:
+            raise ParseError("line %d: expected '%s <k> <vertices>'"
+                             % (lineno, cell_word))
         try:
             k = int(parts[1])
             verts = [int(x) for x in parts[2:]]

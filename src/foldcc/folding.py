@@ -264,15 +264,9 @@ def find_folding(cplx):
     n = cplx.dim
     if n < 1:
         raise NotHomogeneous("complex has no edges")
-    for k in range(n):
-        covered = set()
-        for i in range(cplx.n_cubes(k + 1)):
-            for _, fi in cplx.faces(k + 1, i):
-                covered.add(fi)
-        for i in range(cplx.n_cubes(k)):
-            if i not in covered:
-                raise NotHomogeneous(
-                    "cube %r is not a face of a top cube" % (cplx.cubes[k][i],))
+    lower = cplx.homogeneity_witness()
+    if lower is not None:
+        raise NotHomogeneous("cube %r is not a face of a top cube" % (lower,))
 
     classes = parallel_classes(cplx)
 

@@ -2,14 +2,22 @@ import os
 
 import pytest
 
+from foldcc import cli
 from foldcc.cli import main
 from foldcc.core import load_complex, serialize_complex
+from foldcc.errors import ConstructionFailed
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_refusal(out, err):
+    assert out == ""
+    lines = err.rstrip("\n").split("\n")
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestGenerate:
@@ -90,6 +98,18 @@ class TestValidate:
         assert code == 64
         assert "expected" in err
 
+    def test_empty_cell_line_exits_64(self, tmp_path, capsys):
+        f = tmp_path / "bad.cplx"
+        f.write_text("cubical-complex v1\nvertices 4\ncube\n")
+        code, out, err = run(capsys, "validate", str(f))
+        assert code == 64
+        assert_refusal(out, err)
+        k = tmp_path / "bad.scx"
+        k.write_text("simplicial-complex v1\nvertices 3\nsimplex\n")
+        code, out, err = run(capsys, "generate", "davisX:K=%s" % k)
+        assert code == 64
+        assert_refusal(out, err)
+
 
 class TestRank:
     def test_torus_split_exit_zero(self, tmp_path, capsys):
@@ -162,6 +182,15 @@ class TestOtherCommands:
         assert code == 0
         assert "classes = 2" in out
 
+    def test_geodesic_rejects_unknown_vertex(self, tmp_path, capsys):
+        f = tmp_path / "t.cplx"
+        run(capsys, "generate", "torus:4,4", "--out", str(f))
+        for v in ("-1", "16"):
+            code, out, err = run(capsys, "geodesic", str(f), "--from", v)
+            assert code == 65
+            assert_refusal(out, err)
+            assert "UnknownVertex" in err
+
     def test_info(self, tmp_path, capsys):
         f = tmp_path / "t.cplx"
         run(capsys, "generate", "torus:4,4", "--out", str(f))
@@ -169,3 +198,20 @@ class TestOtherCommands:
         assert code == 0
         assert "euler_characteristic = 0" in out
         assert "provenance = torus:4,4" in out
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [ConstructionFailed("bad folding"),
+                                     RuntimeError("boom")])
+    def test_unexpected_exception_exits_70(self, tmp_path, capsys,
+                                           monkeypatch, exc):
+        def broken(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_info", broken)
+        f = tmp_path / "t.cplx"
+        run(capsys, "generate", "torus:4,4", "--out", str(f))
+        code, out, err = run(capsys, "info", str(f))
+        assert code == cli.EX_INTERNAL == 70
+        assert_refusal(out, err)
+        assert err.startswith("error: internal: ")

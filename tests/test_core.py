@@ -1,17 +1,64 @@
 import itertools
+import random
 
 import pytest
 
-from foldcc.core import (CubicalComplex, SimplicialComplex, components,
-                         is_flag, link, load_complex, load_simplicial,
-                         serialize_complex, serialize_simplicial,
-                         simplicial_isomorphic, validate_fcc)
-from foldcc.errors import NotAComplex, ParseError, UnknownVertex
+from foldcc.core import (CubicalComplex, SimplicialComplex, canonical_cube,
+                         components, cube_face, is_flag, link, load_complex,
+                         load_simplicial, restrict_complex, serialize_complex,
+                         serialize_simplicial, simplicial_isomorphic,
+                         validate_fcc)
+from foldcc.errors import NotAComplex, NotHomogeneous, ParseError, UnknownVertex
+from foldcc.folding import find_folding
 from foldcc.generators import cycle_graph, standard_sphere, torus_grid
 
 from helpers import brute_force_nonspanning_clique
 
 SQUARE = "cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n"
+
+
+def corner_orders(corners):
+    """Every corner tuple of the same cube (all 2^k * k! of them)."""
+    k = (len(corners) - 1).bit_length()
+    for perm in itertools.permutations(range(k)):
+        for mask in range(1 << k):
+            # position b of the image takes the corner whose coordinate
+            # perm[j] is bit j of b, flipped by bit j of mask
+            yield tuple(
+                corners[sum((((b >> j) ^ (mask >> j)) & 1) << perm[j]
+                            for j in range(k))]
+                for b in range(1 << k))
+
+
+def symmetry_minimum(corners):
+    """Lexicographic minimum over all 2^k * k! symmetries of the cube."""
+    return min(corner_orders(corners))
+
+
+def recomputed_incidence(cplx):
+    """faces, cofaces (per dim, per index) and maximal cubes, recomputed
+    from cube_face + canonical_cube."""
+    index = [{c: i for i, c in enumerate(level)} for level in cplx.cubes]
+    faces = [[] for _ in cplx.cubes]
+    cofaces = [[[] for _ in level] for level in cplx.cubes]
+    for k, level in enumerate(cplx.cubes):
+        for i, cube in enumerate(level):
+            refs = [(k - 1, index[k - 1][canonical_cube(cube_face(cube, a, s))])
+                    for a in range(k) for s in (0, 1)]
+            faces[k].append(refs)
+            for fk, fi in refs:
+                cofaces[fk][fi].append((k, i))
+    maximal = [(k, i) for k, level in enumerate(cofaces)
+               for i, cof in enumerate(level) if not cof]
+    return faces, cofaces, maximal
+
+
+def assert_incidence(cplx):
+    faces, cofaces, maximal = recomputed_incidence(cplx)
+    for k, level in enumerate(cplx.cubes):
+        assert [cplx.faces(k, i) for i in range(len(level))] == faces[k]
+        assert [cplx.cofaces(k, i) for i in range(len(level))] == cofaces[k]
+    assert cplx.maximal_cubes() == maximal
 
 
 def empty_triangle_complex():
@@ -51,6 +98,7 @@ class TestLoading:
     def test_parse_errors(self):
         for text in ["garbage\n",
                      "cubical-complex v1\n",
+                     "cubical-complex v1\nvertices 4\ncube\n",
                      "cubical-complex v1\nvertices x\n",
                      "cubical-complex v1\nvertices 4\ncube 2 0 1 2\n",
                      "cubical-complex v1\nvertices 4\nsquare 2 0 1 2 3\n"]:
@@ -79,7 +127,60 @@ class TestLoading:
         assert serialize_complex(load_complex(text)) == text
 
 
+class TestCanonicalCube:
+    def test_equals_symmetry_minimum_for_every_corner_order(self):
+        r = random.Random(3)
+        for _ in range(60):
+            k = r.randrange(5)
+            cube = tuple(r.sample(range(1000), 1 << k))
+            expect = symmetry_minimum(cube)
+            for corners in corner_orders(cube):
+                assert canonical_cube(corners) == expect
+            assert canonical_cube(list(cube)) == expect
+
+    def test_equals_symmetry_minimum_on_random_cubes(self):
+        r = random.Random(4)
+        for _ in range(1000):
+            cube = tuple(r.sample(range(40), 1 << r.randrange(5)))
+            assert canonical_cube(cube) == symmetry_minimum(cube)
+
+    def test_smallest_corner_then_its_neighbours_in_order(self):
+        assert canonical_cube((7, 3, 5, 1)) == (1, 3, 5, 7)
+        # corner 1 sits at position 5; its neighbours 2, 5, 6 lie along
+        # axes 2, 1, 0, which become axes 0, 1, 2
+        assert canonical_cube((9, 2, 4, 8, 6, 1, 3, 5)) == (
+            1, 2, 5, 8, 6, 9, 3, 4)
+
+    def test_corner_count_must_be_a_power_of_two(self):
+        for corners in [(), (0, 1, 2)]:
+            with pytest.raises(NotAComplex):
+                canonical_cube(corners)
+
+
 class TestFaceIncidence:
+    def test_table_matches_recomputation_on_corpus(self, corpus_all):
+        for entry in corpus_all:
+            assert_incidence(entry.complex)
+
+    def test_table_matches_recomputation_on_pieces(self):
+        cplx = torus_grid((4, 4, 4))
+        refs = set()
+        stack = [(k, i) for k in range(cplx.dim + 1)
+                 for i, _ in cplx.star(0)[k]]
+        while stack:
+            ref = stack.pop()
+            if ref not in refs:
+                refs.add(ref)
+                stack.extend(cplx.faces(*ref))
+        piece = restrict_complex(cplx, sorted(refs)).complex
+        assert piece.cell_counts() == (27, 54, 36, 8)
+        assert_incidence(piece)
+        two = CubicalComplex.from_maximal_cubes(
+            9, [(0, 1, 2, 3), (4, 5, 6, 7), (7, 8)])
+        for part in components(two):
+            assert_incidence(part.complex)
+
+
     def test_every_codim1_face_is_found(self):
         cplx = torus_grid((4, 4, 4))
         for k in range(1, cplx.dim + 1):
@@ -186,6 +287,22 @@ class TestValidateFcc:
         report = validate_fcc(torus_grid((5, 4)))
         assert report.connected and report.no_boundary and report.flag_links
         assert not report.foldable and not report.is_fcc
+
+    def test_homogeneity_witness_on_dangling_edge(self):
+        # a square with an edge hanging off corner 3, then also with an
+        # isolated vertex, which comes first in (dim, index) order
+        for n, expect in [(5, (3, 4)), (6, (5,))]:
+            cplx = CubicalComplex.from_maximal_cubes(
+                n, [(0, 1, 2, 3), (3, 4)])
+            report = validate_fcc(cplx)
+            assert not report.dimensionally_homogeneous
+            assert report.homogeneity_witness == expect
+            assert ("witness.not_homogeneous = %s"
+                    % " ".join(map(str, expect))) in report.render()
+            with pytest.raises(NotHomogeneous) as err:
+                find_folding(cplx)
+            assert str(err.value) == (
+                "cube %r is not a face of a top cube" % (expect,))
 
     def test_report_renders(self):
         text = validate_fcc(torus_grid((4, 4))).render()
