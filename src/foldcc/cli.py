@@ -5,10 +5,11 @@ generate, info.  Reports go to stdout in the canonical key/value form;
 --out writes complexes, foldings and paths in their file formats.
 
 Exit codes: validate returns 0 iff the complex is an FCC; rank returns
-0 = split, 1 = rank one, 2 = inconclusive; 64 = malformed input or usage,
-65 = input fails a precondition, 70 = internal error
-(ConstructionFailed or any other unexpected exception).  Every error
-prints one `error:` line to stderr.
+0 = split, 1 = rank one, 2 = inconclusive; 64 = malformed input or a
+usage error (argparse's own exit code 2 is never used), 65 = input fails
+a precondition, 70 = internal error (ConstructionFailed or any other
+unexpected exception).  Every error prints one `error:` line to stderr,
+and a command whose --out write fails prints nothing to stdout.
 """
 
 import argparse
@@ -80,7 +81,7 @@ def _colored(path):
 def cmd_decompose(args):
     cplx, coloring = _colored(args.file)
     gos = decomposition.graph_of_spaces(cplx, coloring, args.color)
-    sys.stdout.write(core.render_report("graph-of-spaces v1", gos.to_kv()))
+    report = core.render_report("graph-of-spaces v1", gos.to_kv())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for j, piece in enumerate(gos.vertex_spaces):
@@ -100,6 +101,7 @@ def cmd_decompose(args):
                                  % (u, w, g.vertex_map[u], g.vertex_map[w]))
                 _write(os.path.join(args.out, "map_%d_side%d.txt" % (j, g.side)),
                        "\n".join(lines) + "\n")
+    sys.stdout.write(report)
     return 0
 
 
@@ -109,12 +111,12 @@ def cmd_hyperplanes(args):
     pairs = [("color", args.color), ("components", len(comps))]
     for j, h in enumerate(comps):
         pairs.append(("component.%d.cells" % j, h.complex.cell_counts()))
-    sys.stdout.write(core.render_report("hyperplanes v1", pairs))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         for j, h in enumerate(comps):
             _write(os.path.join(args.out, "hyperplane_%d.cplx" % j),
                    core.serialize_complex(h.complex))
+    sys.stdout.write(core.render_report("hyperplanes v1", pairs))
     return 0
 
 
@@ -126,9 +128,9 @@ def cmd_rank(args):
     else:
         report = rank.detect_rank_general(
             cplx, length_cap=args.length_cap, diagnostics=args.diagnostics)
-    sys.stdout.write(report.render())
     if args.out and report.witness_path is not None:
         _write(args.out, geodesic.serialize_path(report.witness_path))
+    sys.stdout.write(report.render())
     return report.exit_code()
 
 
@@ -219,8 +221,14 @@ def cmd_info(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # a usage error is malformed input: exit 64 through main, not 2
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="foldcc",
         description="Foldable cubical complexes: validation, foldings, "
                     "decompositions, rank dichotomy.")
@@ -281,9 +289,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)

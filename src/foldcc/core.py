@@ -11,6 +11,12 @@ cube.
 
 Simplices are stored as sorted vertex tuples.
 
+The 1-skeleton bookkeeping shared by the other modules lives here too:
+`DisjointSet` (connectivity: components, parallel classes, sim_v
+partitions), `spanning_forest_labels` (parities along a spanning forest:
+folding corners, cycle bases, direction parities) and
+`CubicalComplex.axis_edges` (the edge of each axis of a cube).
+
 File formats (ASCII, LF, '#' comments):
 
     cubical-complex v1          simplicial-complex v1
@@ -131,6 +137,76 @@ def _face_closure(vertex_count, maximal):
 
 
 # ---------------------------------------------------------------------------
+# 1-skeleton helpers
+
+class DisjointSet:
+    """Union-find over 0..n-1 whose roots are the least members.
+
+    Least-member roots make root order, and so every class id and group
+    order derived from it, a pure function of the partition.
+    """
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a, b):
+        """Merge the sets of a and b; True iff they were apart."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if ra < rb:
+            self.parent[rb] = ra
+        else:
+            self.parent[ra] = rb
+        return True
+
+    def groups(self, items=None):
+        """Sets met by `items` (default all) as lists, ordered by root."""
+        out = {}
+        for x in range(len(self.parent)) if items is None else items:
+            out.setdefault(self.find(x), []).append(x)
+        return [out[r] for r in sorted(out)]
+
+
+def spanning_forest_labels(vertex_count, edges, weights):
+    """XOR labels along a spanning forest of the multigraph `edges`.
+
+    Each component is labelled from its lowest vertex, at label 0, with
+    label[w] = label[u] ^ weights[e] along tree edges.  The forest is fixed
+    (cycle bases depend on it): a stack over adjacency in edge order, a
+    vertex labelled when pushed.  Returns (label, off-tree edges in
+    increasing order); the labels fit every edge iff they fit the
+    off-tree ones.
+    """
+    adj = [[] for _ in range(vertex_count)]
+    for e, (u, w) in enumerate(edges):
+        adj[u].append((w, e))
+        adj[w].append((u, e))
+    label = [None] * vertex_count
+    in_tree = bytearray(len(edges))
+    for base in range(vertex_count):
+        if label[base] is not None:
+            continue
+        label[base] = 0
+        stack = [base]
+        while stack:
+            u = stack.pop()
+            for w, e in adj[u]:
+                if label[w] is None:
+                    label[w] = label[u] ^ weights[e]
+                    in_tree[e] = 1
+                    stack.append(w)
+    return label, [e for e in range(len(edges)) if not in_tree[e]]
+
+
+# ---------------------------------------------------------------------------
 # cubical complexes
 
 class CubicalComplex:
@@ -159,6 +235,7 @@ class CubicalComplex:
         self._star = None
         self._cofaces = None
         self._maximal = None
+        self._axes = {}
 
     # -- construction ------------------------------------------------------
 
@@ -297,6 +374,17 @@ class CubicalComplex:
             return None
         return ref[1]
 
+    def axis_edges(self, k):
+        """Edge index of each axis at corner 0 of every k-cube, flat: entry
+        k*i + ax is edge_index(cube[0], cube[1 << ax]) of cube (k, i)."""
+        table = self._axes.get(k)
+        if table is None:
+            eidx = self.edge_index
+            table = self._axes[k] = [eidx(cube[0], cube[1 << ax])
+                                     for cube in self.cubes[k]
+                                     for ax in range(k)]
+        return table
+
     def link_adj(self, v):
         """Directions at v adjacent in the link: w -> set of w' spanning a
         square with w at v."""
@@ -339,23 +427,10 @@ class CubicalComplex:
 
     def vertex_components(self):
         """Partition of vertices by 1-skeleton connectivity, each sorted."""
-        parent = list(range(self.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        if len(self.cubes) > 1:
-            for u, w in self.cubes[1]:
-                ru, rw = find(u), find(w)
-                if ru != rw:
-                    parent[max(ru, rw)] = min(ru, rw)
-        groups = {}
-        for v in range(self.vertex_count):
-            groups.setdefault(find(v), []).append(v)
-        return [groups[r] for r in sorted(groups)]
+        ds = DisjointSet(self.vertex_count)
+        for u, w in self.cubes[1] if len(self.cubes) > 1 else ():
+            ds.union(u, w)
+        return ds.groups()
 
     def is_connected(self):
         return len(self.vertex_components()) <= 1
@@ -476,6 +551,16 @@ class SimplicialComplex:
 
     def euler_characteristic(self):
         return sum((-1) ** k * len(level) for k, level in enumerate(self.simplices))
+
+    def maximal_simplices(self):
+        """Simplices that are no face of another, in (dim, vertices) order."""
+        in_higher = set()
+        for level in self.simplices[1:]:
+            for s in level:
+                for r in range(1, len(s)):
+                    in_higher.update(itertools.combinations(s, r))
+        return [s for level in self.simplices for s in level
+                if s not in in_higher]
 
     def is_dimensionally_homogeneous(self):
         n = self.dim
@@ -827,13 +912,6 @@ def serialize_simplicial(K):
     if getattr(K, "provenance", None):
         lines.append("# spec: %s" % K.provenance)
     lines.append("vertices %d" % K.vertex_count)
-    in_higher = set()
-    for level in K.simplices[1:]:
-        for s in level:
-            for r in range(1, len(s)):
-                in_higher.update(itertools.combinations(s, r))
-    for k, level in enumerate(K.simplices):
-        for s in level:
-            if s not in in_higher:
-                lines.append("simplex %d %s" % (k, " ".join(str(v) for v in s)))
+    for s in K.maximal_simplices():
+        lines.append("simplex %d %s" % (len(s) - 1, " ".join(str(v) for v in s)))
     return "\n".join(lines) + "\n"

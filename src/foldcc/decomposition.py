@@ -19,7 +19,8 @@ graph are kept apart.
 import itertools
 from dataclasses import dataclass
 
-from .core import ComponentPiece, CubicalComplex, cube_face, restrict_complex
+from .core import (ComponentPiece, CubicalComplex, DisjointSet, cube_face,
+                   restrict_complex, spanning_forest_labels)
 from .errors import BadColorSet, NotFCC
 
 
@@ -30,29 +31,16 @@ class Subcomplex:
     colors: frozenset
     refs: tuple                # (dim, index) pairs into the parent
 
-    def induced(self):
-        return restrict_complex(self.parent, self.refs)
-
     def components(self):
         """Component pieces ordered by least contained parent vertex."""
         parent = self.parent
-        uf = list(range(parent.vertex_count))
-
-        def find(x):
-            while uf[x] != x:
-                uf[x] = uf[uf[x]]
-                x = uf[x]
-            return x
-
+        ds = DisjointSet(parent.vertex_count)
         for k, i in self.refs:
             if k == 1:
-                u, w = parent.cubes[1][i]
-                ru, rw = find(u), find(w)
-                if ru != rw:
-                    uf[max(ru, rw)] = min(ru, rw)
+                ds.union(*parent.cubes[1][i])
         groups = {}
         for k, i in self.refs:
-            groups.setdefault(find(parent.cubes[k][i][0]), []).append((k, i))
+            groups.setdefault(ds.find(parent.cubes[k][i][0]), []).append((k, i))
         return [restrict_complex(parent, groups[r]) for r in sorted(groups)]
 
 
@@ -63,14 +51,9 @@ def subcomplex_XT(cplx, coloring, T):
         raise BadColorSet("colors %r outside 1..%d" % (sorted(T), coloring.n))
     refs = [(0, i) for i in range(cplx.vertex_count)]
     for k in range(1, cplx.dim + 1):
-        for i, cube in enumerate(cplx.cubes[k]):
-            ok = True
-            for ax in range(k):
-                e = cplx.edge_index(cube[0], cube[1 << ax])
-                if coloring.of_edge(e) not in T:
-                    ok = False
-                    break
-            if ok:
+        table = cplx.axis_edges(k)
+        for i in range(cplx.n_cubes(k)):
+            if all(coloring.of_edge(e) in T for e in table[k * i:k * i + k]):
                 refs.append((k, i))
     return Subcomplex(cplx, T, tuple(refs))
 
@@ -93,13 +76,9 @@ def _midcube_refs(cplx, coloring, color):
     # (parent ref, axis, midcube corner tuple of parent edge indices)
     out = []
     for k in range(1, cplx.dim + 1):
+        table = cplx.axis_edges(k)
         for i, cube in enumerate(cplx.cubes[k]):
-            axis = None
-            for ax in range(k):
-                e = cplx.edge_index(cube[0], cube[1 << ax])
-                if coloring.of_edge(e) == color:
-                    axis = ax
-                    break
+            axis = _color_axis(coloring, table[k * i:k * i + k], color)
             if axis is None:
                 continue
             corners = []
@@ -119,34 +98,20 @@ def hyperplanes(cplx, coloring, color):
     if not 1 <= color <= coloring.n:
         raise BadColorSet("color %d outside 1..%d" % (color, coloring.n))
     mids = _midcube_refs(cplx, coloring, color)
-    edge_ids = sorted(coloring.edges_of_color(color))
-    uf = {e: e for e in edge_ids}
-
-    def find(x):
-        while uf[x] != x:
-            uf[x] = uf[uf[x]]
-            x = uf[x]
-        return x
-
+    ds = DisjointSet(cplx.n_cubes(1))
     for ref, axis, corners in mids:
         if len(corners) == 2:
-            ru, rw = find(corners[0]), find(corners[1])
-            if ru != rw:
-                uf[max(ru, rw)] = min(ru, rw)
-    groups = {}
-    for e in edge_ids:
-        groups.setdefault(find(e), []).append(e)
+            ds.union(*corners)
+    groups = ds.groups(sorted(coloring.edges_of_color(color)))
     comp_of = {}
-    roots = sorted(groups)
-    for ci, r in enumerate(roots):
-        for e in groups[r]:
+    for ci, verts in enumerate(groups):
+        for e in verts:
             comp_of[e] = ci
-    comp_mids = [[] for _ in roots]
+    comp_mids = [[] for _ in groups]
     for ref, axis, corners in mids:
         comp_mids[comp_of[corners[0]]].append((ref, corners))
     out = []
-    for ci, r in enumerate(roots):
-        verts = groups[r]
+    for ci, verts in enumerate(groups):
         local = {e: j for j, e in enumerate(verts)}
         levels = {}
         carrier_by_vset = {}
@@ -163,9 +128,7 @@ def hyperplanes(cplx, coloring, color):
             for i, cube in enumerate(cx.cubes[k]):
                 carrier[(k, i)] = carrier_by_vset[frozenset(cube)]
         for i in range(cx.n_cubes(0)):
-            e = verts[i]
-            u, w = cplx.cubes[1][e]
-            carrier[(0, i)] = (1, e)
+            carrier[(0, i)] = (1, verts[i])
         out.append(HyperplaneComponent(color, cx, tuple(verts), carrier))
     return out
 
@@ -176,27 +139,14 @@ def direction_parity(cplx, coloring, color):
     Exists precisely because the coloring is folding-induced; NotFCC is
     raised when the parity is inconsistent.
     """
-    parity = [None] * cplx.vertex_count
-    adj = [[] for _ in range(cplx.vertex_count)]
-    for e in range(cplx.n_cubes(1)):
-        u, w = cplx.cubes[1][e]
-        flip = 1 if coloring.of_edge(e) == color else 0
-        adj[u].append((w, flip))
-        adj[w].append((u, flip))
-    for base in range(cplx.vertex_count):
-        if parity[base] is not None:
-            continue
-        parity[base] = 0
-        stack = [base]
-        while stack:
-            u = stack.pop()
-            for w, flip in adj[u]:
-                if parity[w] is None:
-                    parity[w] = parity[u] ^ flip
-                    stack.append(w)
-                elif parity[w] != parity[u] ^ flip:
-                    raise NotFCC("coloring is not folding-induced "
-                                 "(direction %d parity inconsistent)" % color)
+    edges = cplx.cubes[1]
+    flips = [1 if c == color else 0 for c in coloring.colors]
+    parity, off_tree = spanning_forest_labels(cplx.vertex_count, edges, flips)
+    for e in off_tree:
+        u, w = edges[e]
+        if parity[u] ^ parity[w] != flips[e]:
+            raise NotFCC("coloring is not folding-induced "
+                         "(direction %d parity inconsistent)" % color)
     return parity
 
 
@@ -258,17 +208,10 @@ class GraphOfSpaces:
     attaching: list
 
     def base_graph_connected(self):
-        if not self.vertex_spaces:
-            return False
-        seen = {0}
-        changed = True
-        while changed:
-            changed = False
-            for b0, b1 in self.base_edges:
-                if (b0 in seen) != (b1 in seen):
-                    seen.update((b0, b1))
-                    changed = True
-        return len(seen) == len(self.vertex_spaces)
+        ds = DisjointSet(len(self.vertex_spaces))
+        for b0, b1 in self.base_edges:
+            ds.union(b0, b1)
+        return len(ds.groups()) == 1
 
     def to_kv(self):
         pairs = [
@@ -326,7 +269,10 @@ def graph_of_spaces(cplx, coloring, color):
                     cube_map[(k, j)] = (0, local_vmap[j])
                     continue
                 pcube = cplx.cubes[pk][pi]
-                axis = _color_axis(cplx, coloring, pcube, pk, color)
+                axis = _color_axis(
+                    coloring, cplx.axis_edges(pk)[pk * pi:pk * pi + pk], color)
+                if axis is None:
+                    raise NotFCC("carrier cube lost its color-%d axis" % color)
                 local_side = 0 if parity[pcube[0]] == b else 1
                 face = cube_face(pcube, axis, local_side)
                 local_face = tuple(piece.vertex_index[v] for v in face)
@@ -338,12 +284,12 @@ def graph_of_spaces(cplx, coloring, color):
                          tuple(base_edges), attaching)
 
 
-def _color_axis(cplx, coloring, cube, k, color):
-    for ax in range(k):
-        e = cplx.edge_index(cube[0], cube[1 << ax])
+def _color_axis(coloring, axis_edges, color):
+    # first axis of a cube, given its axis edges, with an edge of `color`
+    for ax, e in enumerate(axis_edges):
         if coloring.of_edge(e) == color:
             return ax
-    raise NotFCC("carrier cube lost its color-%d axis" % color)
+    return None
 
 
 def count_identity_holds(cplx, coloring, color):

@@ -16,8 +16,10 @@ that basis.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
+from .core import DisjointSet, spanning_forest_labels
 from .errors import ConstructionFailed, NotHomogeneous
 
 
@@ -32,39 +34,22 @@ class ParallelClasses:
     class_of: tuple      # edge index -> class id
     class_count: int
 
-    def members(self, cid):
-        return [e for e, c in enumerate(self.class_of) if c == cid]
-
 
 def parallel_classes(cplx):
     """Disjoint-set closure of "opposite in a square" over the edges."""
     n_edges = cplx.n_cubes(1)
-    parent = list(range(n_edges))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    eidx = {frozenset(e): i for i, e in enumerate(cplx.cubes[1])} if n_edges else {}
+    ds = DisjointSet(n_edges)
     if cplx.dim >= 2:
+        eidx = cplx.edge_index
         for c0, c1, c2, c3 in cplx.cubes[2]:
-            union(eidx[frozenset((c0, c1))], eidx[frozenset((c2, c3))])
-            union(eidx[frozenset((c0, c2))], eidx[frozenset((c1, c3))])
-    ids = {}
-    class_of = []
-    for e in range(n_edges):
-        r = find(e)
-        if r not in ids:
-            ids[r] = len(ids)
-        class_of.append(ids[r])
-    return ParallelClasses(cplx, tuple(class_of), len(ids))
+            ds.union(eidx(c0, c1), eidx(c2, c3))
+            ds.union(eidx(c0, c2), eidx(c1, c3))
+    class_of = [0] * n_edges
+    groups = ds.groups()
+    for cid, members in enumerate(groups):
+        for e in members:
+            class_of[e] = cid
+    return ParallelClasses(cplx, tuple(class_of), len(groups))
 
 
 @dataclass
@@ -74,13 +59,21 @@ class NotFoldable:
     reason "parity": `classes` is a set of parallel classes forced to share
     a direction whose union is crossed an odd number of times by `cycle`
     (a closed vertex cycle, edges between consecutive entries and back).
+    The cycle is a shortest one; the search for it runs on first access.
     reason "direction": the class conflict graph is not n-colorable;
     `detail` carries a conflicting cube or clique when one was found.
     """
     reason: str
     classes: frozenset = None
-    cycle: tuple = None
     detail: object = None
+    # (complex, edge set of `classes`) for the cycle search, parity only
+    crossed: tuple = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def cycle(self):
+        if self.crossed is None:
+            return None
+        return _odd_crossing_cycle(*self.crossed)
 
 
 @dataclass
@@ -95,53 +88,37 @@ class Folding:
     def corner_bits(self, v):
         return format(self.vertex_corner[v], "0%db" % self.n)[::-1]
 
-    def parity_of(self, cid, v):
-        return (self.vertex_corner[v] >> (self.direction_of[cid] - 1)) & 1
-
-
-def _axis_classes(cplx, classes, k, i):
-    cube = cplx.cubes[k][i]
-    eidx = cplx.edge_index
-    return [classes.class_of[eidx(cube[0], cube[1 << ax])] for ax in range(k)]
-
 
 def _cycle_basis(cplx, classes):
     # GF(2) crossing parities of a fundamental cycle basis, as int bitmasks
     # over class ids, reduced to row-echelon form.
-    n_edges = cplx.n_cubes(1)
-    label = [None] * cplx.vertex_count
-    adj = [[] for _ in range(cplx.vertex_count)]
-    for e in range(n_edges):
-        u, w = cplx.cubes[1][e]
-        adj[u].append((w, e))
-        adj[w].append((u, e))
+    edges = cplx.cubes[1]
+    weights = [1 << c for c in classes.class_of]
+    label, off_tree = spanning_forest_labels(cplx.vertex_count, edges, weights)
     pivots = {}
-    tree = set()
-    for base in range(cplx.vertex_count):
-        if label[base] is not None:
-            continue
-        label[base] = 0
-        queue = [base]
-        while queue:
-            u = queue.pop()
-            for w, e in adj[u]:
-                if label[w] is None:
-                    label[w] = label[u] ^ (1 << classes.class_of[e])
-                    tree.add(e)
-                    queue.append(w)
-    for e in range(n_edges):
-        if e in tree:
-            continue
-        u, w = cplx.cubes[1][e]
-        vec = label[u] ^ label[w] ^ (1 << classes.class_of[e])
-        while vec:
-            h = vec.bit_length() - 1
-            if h in pivots:
-                vec ^= pivots[h]
-            else:
-                pivots[h] = vec
-                break
+    for e in off_tree:
+        u, w = edges[e]
+        _insert_pivot(pivots, label[u] ^ label[w] ^ weights[e])
     return sorted(pivots.values())
+
+
+def _insert_pivot(pivots, vec):
+    # reduce vec by the rows of a GF(2) echelon form (top bit -> row) and
+    # add what is left as a new row
+    while vec:
+        h = vec.bit_length() - 1
+        if h not in pivots:
+            pivots[h] = vec
+            return
+        vec ^= pivots[h]
+
+
+def _bits(mask):
+    # set bit positions of an int, highest first
+    while mask:
+        c = mask.bit_length() - 1
+        mask &= ~(1 << c)
+        yield c
 
 
 def _odd_crossing_cycle(cplx, edge_set):
@@ -269,12 +246,14 @@ def find_folding(cplx):
         raise NotHomogeneous("cube %r is not a face of a top cube" % (lower,))
 
     classes = parallel_classes(cplx)
+    class_of = classes.class_of
 
     # classes inside one cube must be pairwise distinct; collect conflicts
     conflict_pairs = set()
     for k in range(2, n + 1):
+        table = cplx.axis_edges(k)
         for i in range(cplx.n_cubes(k)):
-            axes = _axis_classes(cplx, classes, k, i)
+            axes = [class_of[e] for e in table[k * i:k * i + k]]
             if len(set(axes)) != k:
                 return NotFoldable("direction", detail=cplx.cubes[k][i])
             conflict_pairs.update(
@@ -290,13 +269,8 @@ def find_folding(cplx):
     # (2) Two classes whose common conflict neighborhood contains an
     # (n-1)-clique are forced equal by any proper n-coloring.  Both rules
     # iterate to a fixpoint on the quotient.
-    parent = list(range(classes.class_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    ds = DisjointSet(classes.class_count)
+    find = ds.find
 
     def group_of(rep):
         return frozenset(c for c in range(classes.class_count)
@@ -306,18 +280,9 @@ def find_folding(cplx):
         pivots = {}
         for vec in vecs:
             proj = 0
-            v = vec
-            while v:
-                c = v.bit_length() - 1
-                v &= ~(1 << c)
+            for c in _bits(vec):
                 proj ^= 1 << find(c)
-            while proj:
-                h = proj.bit_length() - 1
-                if h in pivots:
-                    proj ^= pivots[h]
-                else:
-                    pivots[h] = proj
-                    break
+            _insert_pivot(pivots, proj)
         return sorted(pivots.values())
 
     vectors = project(basis)
@@ -327,17 +292,13 @@ def find_folding(cplx):
             pc = vec.bit_count()
             if pc == 1:
                 rep = find(vec.bit_length() - 1)
-                group = group_of(rep)
                 edges = {e for e in range(cplx.n_cubes(1))
-                         if find(classes.class_of[e]) == rep}
-                cycle = _odd_crossing_cycle(cplx, edges)
-                return NotFoldable("parity", classes=group, cycle=cycle)
+                         if find(class_of[e]) == rep}
+                return NotFoldable("parity", classes=group_of(rep),
+                                   crossed=(cplx, edges))
             if pc == 2:
                 lo = vec & -vec
-                r1 = find(lo.bit_length() - 1)
-                r2 = find(vec.bit_length() - 1)
-                if r1 != r2:
-                    parent[max(r1, r2)] = min(r1, r2)
+                if ds.union(lo.bit_length() - 1, vec.bit_length() - 1):
                     merged = True
         reps = sorted({find(c) for c in range(classes.class_count)})
         conflicts = {r: set() for r in reps}
@@ -362,21 +323,13 @@ def find_folding(cplx):
                 if (masks[r1] >> r2) & 1:
                     continue
                 if _mask_clique(masks[r1] & masks[r2], masks, n - 1):
-                    parent[r2] = r1
+                    ds.union(r1, r2)
                     merged = True
         if not merged:
             break
         vectors = project(vectors)
 
-    supports = []
-    for vec in vectors:
-        supp = []
-        v = vec
-        while v:
-            c = v.bit_length() - 1
-            v &= ~(1 << c)
-            supp.append(c)
-        supports.append(tuple(supp))
+    supports = [tuple(_bits(vec)) for vec in vectors]
 
     coloring = _search_directions(n, reps, conflicts, supports)
     if coloring is None:
@@ -386,26 +339,13 @@ def find_folding(cplx):
     direction_of = tuple(coloring[find(c)] for c in range(classes.class_count))
 
     # assemble vertex corners: lowest vertex of each component at corner 0
-    corner = [None] * cplx.vertex_count
-    adj = [[] for _ in range(cplx.vertex_count)]
-    for e in range(cplx.n_cubes(1)):
-        u, w = cplx.cubes[1][e]
-        bit = 1 << (direction_of[classes.class_of[e]] - 1)
-        adj[u].append((w, bit))
-        adj[w].append((u, bit))
-    for base in range(cplx.vertex_count):
-        if corner[base] is not None:
-            continue
-        corner[base] = 0
-        stack = [base]
-        while stack:
-            u = stack.pop()
-            for w, bit in adj[u]:
-                if corner[w] is None:
-                    corner[w] = corner[u] ^ bit
-                    stack.append(w)
-                elif corner[w] != corner[u] ^ bit:
-                    raise ConstructionFailed("direction parities inconsistent")
+    edges = cplx.cubes[1]
+    bits = [1 << (direction_of[c] - 1) for c in class_of]
+    corner, off_tree = spanning_forest_labels(cplx.vertex_count, edges, bits)
+    for e in off_tree:
+        u, w = edges[e]
+        if corner[u] ^ corner[w] != bits[e]:
+            raise ConstructionFailed("direction parities inconsistent")
 
     folding = Folding(cplx, classes, n, direction_of, tuple(corner))
     if not verify_folding(cplx, folding):
@@ -433,11 +373,10 @@ def verify_folding(cplx, folding):
         return False
     vc = folding.vertex_corner
     for k in range(1, cplx.dim + 1):
-        for i in range(cplx.n_cubes(k)):
-            cube = cplx.cubes[k][i]
+        table = cplx.axis_edges(k)
+        for i, cube in enumerate(cplx.cubes[k]):
             bits = []
-            for ax in range(k):
-                e = cplx.edge_index(cube[0], cube[1 << ax])
+            for e in table[k * i:k * i + k]:
                 if e is None:
                     return False
                 bits.append(1 << (folding.direction_of[folding.classes.class_of[e]] - 1))

@@ -89,18 +89,6 @@ def hemispherex(n, multiplicities, allow_dim1=False):
     return Hemispherex(K, n, multiplicities, tuple(poles))
 
 
-def _maximal_simplices(K):
-    in_higher = set()
-    for level in K.simplices[1:]:
-        for s in level:
-            for r in range(1, len(s)):
-                in_higher.update(itertools.combinations(s, r))
-    out = []
-    for level in K.simplices:
-        out.extend(s for s in level if s not in in_higher)
-    return out
-
-
 def davis_Y(K, max_generators=16):
     """Subcomplex of the |S|-cube spanned by the faces whose direction sets
     are simplices of K; every vertex link is isomorphic to K.
@@ -113,7 +101,7 @@ def davis_Y(K, max_generators=16):
         raise TooLarge("2^%d vertices exceeds the cap (max_generators=%d)"
                        % (S, max_generators))
     maximal = []
-    for T in _maximal_simplices(K):
+    for T in K.maximal_simplices():
         mask = 0
         for s in T:
             mask |= 1 << s

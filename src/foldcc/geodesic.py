@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from .core import DisjointSet
 from .errors import (
     ConstructionFailed,
     IsCircle,
@@ -174,6 +175,15 @@ def transfer(cplx, e):
 # ---------------------------------------------------------------------------
 # non-backtracking search in multigraphs
 
+def _oriented_refs(edge_list):
+    # oriented edge (tail, head) -> its ref (edge index, flip)
+    index = {}
+    for i, (u, w) in enumerate(edge_list):
+        index[(u, w)] = (i, 0)
+        index[(w, u)] = (i, 1)
+    return index
+
+
 def _adjacency(edge_list):
     adj = {}
     for idx, (u, w) in enumerate(edge_list):
@@ -197,18 +207,10 @@ def _tail(edge_list, ref):
 def _check_graph(edge_list, require_not_circle=True):
     adj = _adjacency(edge_list)
     if adj:
-        seen = set()
-        start = min(adj)
-        queue = [start]
-        seen.add(start)
-        while queue:
-            u = queue.pop()
-            for ref in adj[u]:
-                w = _head(edge_list, ref)
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(adj):
+        ds = DisjointSet(max(adj) + 1)
+        for u, w in edge_list:
+            ds.union(u, w)
+        if len(ds.groups(adj)) != 1:
             raise NotConnected("graph is not connected")
         if require_not_circle and all(len(refs) == 2 for refs in adj.values()):
             raise IsCircle("graph is a circle")
@@ -308,10 +310,7 @@ def graph_connector(graph, e1, e2):
     if graph.dim > 1:
         raise PreconditionFailed("graph_connector needs a 1-complex")
     edge_list = list(graph.cubes[1])
-    index = {}
-    for i, (u, w) in enumerate(edge_list):
-        index[(u, w)] = (i, 0)
-        index[(w, u)] = (i, 1)
+    index = _oriented_refs(edge_list)
     try:
         r1, r2 = index[tuple(e1)], index[tuple(e2)]
     except KeyError:
@@ -347,11 +346,7 @@ def color_component_edges(cplx, coloring, v, color):
 
 def _probe_loop(cplx, edge_list, e):
     # the geodesic segment e * loop * reverse(e) inside a color subgraph
-    index = {}
-    for i, (u, w) in enumerate(edge_list):
-        index[(u, w)] = (i, 0)
-        index[(w, u)] = (i, 1)
-    ref = index[tuple(e)]
+    ref = _oriented_refs(edge_list)[tuple(e)]
     walk = connector_walk(edge_list, ref, ref)
     inner = _walk_to_path(edge_list, walk, e.head, closed=False)
     return EdgePath(e.tail, (e,) + inner.steps + (e.reverse,), closed=False)
@@ -388,14 +383,7 @@ class SimVClasses:
 
 def sim_v_classes(cplx, coloring, v):
     n = coloring.n
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    ds = DisjointSet(n + 1)
     witnesses = {}
     nbrs = cplx.neighbors(v)
     far = (DistanceClass.PI, DistanceClass.MORE_THAN_PI)
@@ -409,13 +397,8 @@ def sim_v_classes(cplx, coloring, v):
                 continue
             if distance_class(cplx, v, a, b) in far:
                 witnesses[key] = (a, b) if i <= j else (b, a)
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    groups = {}
-    for i in range(1, n + 1):
-        groups.setdefault(find(i), []).append(i)
-    partition = tuple(frozenset(groups[r]) for r in sorted(groups))
+                ds.union(i, j)
+    partition = tuple(frozenset(g) for g in ds.groups(range(1, n + 1)))
     return SimVClasses(v, partition, witnesses)
 
 

@@ -198,10 +198,7 @@ def _step_d_search(cplx, coloring):
             blue_edges = [tuple(cplx.cubes[1][e])
                           for e in sorted(coloring.edges_of_color(blue))
                           if cplx.cubes[1][e][0] in piece.vertex_index]
-            index = {}
-            for i, (u, w) in enumerate(blue_edges):
-                index[(u, w)] = (i, 0)
-                index[(w, u)] = (i, 1)
+            index = geo._oriented_refs(blue_edges)
             for (v1, (d_b, d_r)), (v2, (d_bp, d_g)) in itertools.product(
                     v_candidates, w_candidates):
                 walk = geo.connector_walk(

@@ -111,6 +111,44 @@ class TestValidate:
         assert_refusal(out, err)
 
 
+class TestUsageErrors:
+    # argparse's own exit code 2 would read as rank's "inconclusive"
+    @pytest.mark.parametrize("argv", [["rank"], ["nosuch", "x.cplx"],
+                                      ["geodesic", "x.cplx", "--from", "a"]])
+    def test_usage_error_exits_64(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert_refusal(out, err)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "usage: foldcc" in capsys.readouterr().out
+
+
+class TestFailedOutWrite:
+    # a failed --out write is a refusal: nothing may reach stdout
+    @pytest.mark.parametrize("command", ["decompose", "hyperplanes"])
+    def test_directory_over_a_file(self, tmp_path, capsys, command):
+        f = tmp_path / "t.cplx"
+        run(capsys, "generate", "torus:4,4", "--out", str(f))
+        code, out, err = run(capsys, command, str(f), "--color", "1",
+                             "--out", str(f))
+        assert code == 64
+        assert_refusal(out, err)
+
+    def test_rank_witness_into_a_directory(self, tmp_path, capsys):
+        f = tmp_path / "c4.cplx"
+        run(capsys, "generate", "torus:4", "--out", str(f))
+        code, out, _ = run(capsys, "rank", str(f), "--general")
+        assert code == 1 and "witness.path.length" in out
+        code, out, err = run(capsys, "rank", str(f), "--general",
+                             "--out", str(tmp_path))
+        assert code == 64
+        assert_refusal(out, err)
+
+
 class TestRank:
     def test_torus_split_exit_zero(self, tmp_path, capsys):
         f = tmp_path / "t.cplx"

@@ -2,11 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from foldcc.core import (CubicalComplex, SimplicialComplex, canonical_cube,
-                         components, cube_face, is_flag, link, load_complex,
-                         load_simplicial, restrict_complex, serialize_complex,
-                         serialize_simplicial, simplicial_isomorphic,
+from foldcc.core import (CubicalComplex, DisjointSet, SimplicialComplex,
+                         canonical_cube, components, cube_face, is_flag, link,
+                         load_complex, load_simplicial, restrict_complex,
+                         serialize_complex, serialize_simplicial,
+                         simplicial_isomorphic, spanning_forest_labels,
                          validate_fcc)
 from foldcc.errors import NotAComplex, NotHomogeneous, ParseError, UnknownVertex
 from foldcc.folding import find_folding
@@ -370,3 +372,80 @@ class TestSimplicial:
         K2 = SimplicialComplex.from_maximal(
             4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
         assert simplicial_isomorphic(K1, K2) is None
+
+
+@st.composite
+def multigraphs(draw, max_weight=1):
+    """(n, edges, weights): loops and parallel edges allowed."""
+    n = draw(st.integers(1, 9))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=20))
+    weights = draw(st.lists(st.integers(0, max_weight), min_size=len(edges),
+                            max_size=len(edges)))
+    return n, edges, weights
+
+
+def bfs_components(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, w in edges:
+        adj[u].append(w)
+        adj[w].append(u)
+    seen, out = set(), []
+    for v in range(n):
+        if v not in seen:
+            comp, queue = [], [v]
+            seen.add(v)
+            while queue:
+                u = queue.pop()
+                comp.append(u)
+                for w in adj[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            out.append(sorted(comp))
+    return out
+
+
+class TestGraphHelpers:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_disjoint_set_groups_are_the_components(self, graph):
+        n, edges, _ = graph
+        ds = DisjointSet(n)
+        for u, w in edges:
+            ds.union(u, w)
+        groups = ds.groups()
+        assert groups == bfs_components(n, edges)
+        for group in groups:
+            assert all(ds.find(x) == group[0] for x in group)
+        odd = [v for v in range(n) if v % 2]
+        assert ds.groups(odd) == [g for g in (
+            [v for v in group if v % 2] for group in groups) if g]
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs(max_weight=15))
+    def test_labels_follow_the_tree_edges(self, graph):
+        n, edges, weights = graph
+        label, off_tree = spanning_forest_labels(n, edges, weights)
+        tree = set(range(len(edges))) - set(off_tree)
+        assert off_tree == sorted(off_tree)
+        for e in tree:
+            u, w = edges[e]
+            assert label[u] ^ label[w] == weights[e]
+        for comp in bfs_components(n, edges):
+            assert label[comp[0]] == 0
+            # a spanning forest has one edge fewer than its vertices
+            assert sum(1 for e in tree if edges[e][0] in comp) == len(comp) - 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_off_tree_mismatch_iff_odd_cycle(self, graph):
+        n, edges, weights = graph
+        label, off_tree = spanning_forest_labels(n, edges, weights)
+        mismatch = any(label[edges[e][0]] ^ label[edges[e][1]] != weights[e]
+                       for e in off_tree)
+        two_colorable = any(
+            all((mask >> u & 1) ^ (mask >> w & 1) == weights[e]
+                for e, (u, w) in enumerate(edges))
+            for mask in range(1 << n))
+        assert mismatch == (not two_colorable)

@@ -68,6 +68,30 @@ class TestFindFolding:
         assert result.reason == "parity"
         assert len(result.cycle) == 5
 
+    def test_parity_cycle_is_searched_only_when_read(self, tmp_path,
+                                                     monkeypatch, capsys):
+        from foldcc import cli, folding
+        from foldcc.core import serialize_complex, validate_fcc
+
+        odd = torus_grid((5, 4))
+        cycle = find_folding(odd).cycle
+
+        def no_search(cplx, edges):
+            raise AssertionError("parity cycle searched")
+
+        monkeypatch.setattr(folding, "_odd_crossing_cycle", no_search)
+        report = validate_fcc(odd)
+        assert not report.foldable and not report.is_fcc
+        assert report.fold_witness.reason == "parity"
+        f = tmp_path / "odd.cplx"
+        f.write_text(serialize_complex(odd))
+        assert cli.main(["validate", str(f)]) == 1
+        assert "foldable = false" in capsys.readouterr().out
+        monkeypatch.undo()
+        result = find_folding(odd)
+        assert result.cycle == cycle
+        assert result.cycle is result.cycle
+
     def test_odd_cycle_graph_not_foldable(self):
         result = find_folding(cycle_graph(5))
         assert isinstance(result, NotFoldable)
