@@ -872,9 +872,11 @@ def load_complex(text):
         text, "cubical-complex", "cube")
     maximal = []
     for k, verts in cells:
-        if len(verts) != 1 << k:
-            raise ParseError("cube of dimension %d needs %d corners, got %d"
-                             % (k, 1 << k, len(verts)))
+        # no line holds 2^64 corners; a larger k must not build 1 << k
+        if k >= 64 or len(verts) != 1 << k:
+            need = 1 << k if k < 64 else "2^%d" % k
+            raise ParseError("cube of dimension %d needs %s corners, got %d"
+                             % (k, need, len(verts)))
         maximal.append(tuple(verts))
     return CubicalComplex.from_maximal_cubes(
         vertex_count, maximal, check_intersections=True, provenance=provenance)

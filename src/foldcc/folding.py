@@ -16,6 +16,7 @@ that basis.
 """
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,7 +60,18 @@ class NotFoldable:
     reason "parity": `classes` is a set of parallel classes forced to share
     a direction whose union is crossed an odd number of times by `cycle`
     (a closed vertex cycle, edges between consecutive entries and back).
-    The cycle is a shortest one; the search for it runs on first access.
+    The cycle is a shortest one, starting at the least vertex that lies on
+    a shortest one; the search for it runs on first access.  It runs BFSs
+    on the parity double cover (vertex, crossing parity): with D_s the
+    distances from (s, 0), the shortest odd closed walk through v has
+    length D_s(v, 0) + D_s(v, 1) for any s on that walk.  One BFS per
+    component labels each vertex by the parity it is first reached with;
+    every odd closed walk crosses an edge those labels do not fit, so one
+    endpoint of each such edge serves as a source.  Each source BFS stops
+    at the shortest length found so far, and one more BFS, from the base
+    vertex, rebuilds the path.  Each BFS costs O(V + E).  On
+    torus(k, 4, 4) the sources lie on one cross-section: 16 BFSs, where a
+    search from every vertex would run 16k.
     reason "direction": the class conflict graph is not n-colorable;
     `detail` carries a conflicting cube or clique when one was found.
     """
@@ -123,39 +135,74 @@ def _bits(mask):
 
 def _odd_crossing_cycle(cplx, edge_set):
     # Shortest closed vertex cycle crossing `edge_set` an odd number of
-    # times: BFS on the parity double cover, scanning base vertices in order.
-    from collections import deque
-
+    # times: the double-cover BFS path of the least base vertex whose
+    # shortest odd closed walk is shortest overall (see NotFoldable).
     adj = [[] for _ in range(cplx.vertex_count)]
-    for e in range(cplx.n_cubes(1)):
-        u, w = cplx.cubes[1][e]
+    for e, (u, w) in enumerate(cplx.cubes[1]):
         flip = 1 if e in edge_set else 0
         adj[u].append((w, flip))
         adj[w].append((u, flip))
-    best = None
-    for base in range(cplx.vertex_count):
-        prev = {(base, 0): None}
-        queue = deque([(base, 0, 0)])
-        while queue:
-            u, p, d = queue.popleft()
-            if best is not None and d >= best[0]:
-                break
-            for w, flip in adj[u]:
-                state = (w, p ^ flip)
-                if state not in prev:
-                    prev[state] = (u, p)
-                    if state == (base, 1):
-                        path = []
-                        cur = state
-                        while cur is not None:
-                            path.append(cur[0])
-                            cur = prev[cur]
-                        path.reverse()
-                        if best is None or len(path) - 1 < best[0]:
-                            best = (len(path) - 1, tuple(path[:-1]))
-                    else:
-                        queue.append((w, p ^ flip, d + 1))
-    return best[1] if best else None
+    # odd[v]: length of the shortest odd closed walk through v, as the
+    # least D_s(v, 0) + D_s(v, 1) over the BFS sources s on that walk
+    inf = float("inf")
+    odd = [inf] * cplx.vertex_count
+    best = inf
+
+    def scan(source, bound):
+        nonlocal best
+        found = _cover_bfs(adj, source, bound)
+        for state, (d, _) in found.items():
+            if state & 1 and state - 1 in found:
+                v, d = state >> 1, d + found[state - 1][0]
+                odd[v] = min(odd[v], d)
+                best = min(best, d)
+        return found
+
+    seen = set()
+    for root in range(cplx.vertex_count):
+        if root in seen:
+            continue
+        # label the component by the parity each vertex is first reached
+        # with; an odd closed walk crosses an edge the labels do not fit,
+        # so it passes through one of the sources
+        label = {}
+        for state in scan(root, inf):
+            label.setdefault(state >> 1, state & 1)
+        seen.update(label)
+        sources = sorted({min(u, w) for u in label for w, flip in adj[u]
+                          if label[u] ^ label[w] ^ flip})
+        for source in sources:
+            scan(source, best)
+    if best == inf:
+        return None
+    base = odd.index(best)
+    found = _cover_bfs(adj, base, best)
+    path = []
+    state = found[2 * base + 1][1]
+    while state is not None:
+        path.append(state >> 1)
+        state = found[state][1]
+    return tuple(reversed(path))
+
+
+def _cover_bfs(adj, base, bound):
+    # BFS on the parity double cover from (base, 0), state 2*v + parity;
+    # states at depth `bound` or more are not expanded.  Returns
+    # {state: (depth, BFS parent)} in discovery order, parent None at base.
+    found = {2 * base: (0, None)}
+    queue = deque([2 * base])
+    while queue:
+        state = queue.popleft()
+        d = found[state][0]
+        if d >= bound:
+            break
+        p = state & 1
+        for w, flip in adj[state >> 1]:
+            nxt = 2 * w + (p ^ flip)
+            if nxt not in found:
+                found[nxt] = (d + 1, state)
+                queue.append(nxt)
+    return found
 
 
 def _mask_clique(mask, masks, size):
@@ -441,36 +488,49 @@ def fold_simplicial(K):
     domain = {v: set(range(1, n_colors + 1)) for v in range(K.vertex_count)}
     pool = set(range(K.vertex_count))
 
-    def solve():
-        if not pool:
-            return True
+    # Backtracking on an explicit stack, one frame per colored vertex:
+    # [vertex, its candidate colors, next candidate, neighbours whose domain
+    # lost the current color].  Deterministic: MRV with lowest-id ties,
+    # lowest color first.
+    def push():
         v = min(pool, key=lambda x: (len(domain[x]), x))
         pool.discard(v)
-        for c in sorted(domain[v]):
-            removed = []
-            ok = True
-            colors[v] = c
-            for w in K.neighbors(v):
-                if w in colors:
-                    if colors[w] == c:
-                        ok = False
-                        break
-                elif c in domain[w]:
-                    domain[w].discard(c)
-                    removed.append(w)
-                    if not domain[w]:
-                        ok = False
-                        break
-            if ok and solve():
-                return True
+        stack.append([v, sorted(domain[v]), 0, None])
+
+    stack = []
+    push()
+    while stack:
+        frame = stack[-1]
+        v, cands, i, removed = frame
+        if removed is not None:
             del colors[v]
             for w in removed:
-                domain[w].add(c)
-        pool.add(v)
-        return False
-
-    if solve():
-        return tuple(colors[v] for v in range(K.vertex_count))
+                domain[w].add(cands[i - 1])
+            frame[3] = None
+        if i == len(cands):
+            stack.pop()
+            pool.add(v)
+            continue
+        c = cands[i]
+        frame[2] = i + 1
+        frame[3] = removed = []
+        ok = True
+        colors[v] = c
+        for w in K.neighbors(v):
+            if w in colors:
+                if colors[w] == c:
+                    ok = False
+                    break
+            elif c in domain[w]:
+                domain[w].discard(c)
+                removed.append(w)
+                if not domain[w]:
+                    ok = False
+                    break
+        if ok:
+            if not pool:
+                return tuple(colors[v] for v in range(K.vertex_count))
+            push()
     return NotFoldable("simplicial")
 
 

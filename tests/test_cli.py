@@ -1,11 +1,13 @@
 import os
+import random
 
 import pytest
 
 from foldcc import cli
 from foldcc.cli import main
-from foldcc.core import load_complex, serialize_complex
+from foldcc.core import CubicalComplex, load_complex, serialize_complex
 from foldcc.errors import ConstructionFailed
+from foldcc.generators import torus_grid
 
 
 def run(capsys, *argv):
@@ -111,6 +113,19 @@ class TestValidate:
         assert_refusal(out, err)
 
 
+    def test_huge_cube_dimension_exits_64(self, tmp_path, capsys):
+        f = tmp_path / "huge.cplx"
+        f.write_text("cubical-complex v1\nvertices 4\n"
+                     "cube 1000000000000000 0 1\n")
+        code, out, err = run(capsys, "validate", str(f))
+        assert code == 64
+        assert_refusal(out, err)
+        f.write_text("cubical-complex v1\nvertices 4\ncube 3 0 1\n")
+        code, out, err = run(capsys, "validate", str(f))
+        assert code == 64
+        assert err == "error: cube of dimension 3 needs 8 corners, got 2\n"
+
+
 class TestUsageErrors:
     # argparse's own exit code 2 would read as rank's "inconclusive"
     @pytest.mark.parametrize("argv", [["rank"], ["nosuch", "x.cplx"],
@@ -193,6 +208,22 @@ class TestOtherCommands:
         assert "reason = parity" in out
         assert "cycle.length = 5" in out
 
+    def test_fold_long_odd_torus_output(self, tmp_path, capsys):
+        # stdout pinned byte for byte: the least base vertex on a shortest
+        # odd cycle, and its BFS path on the parity double cover
+        f = tmp_path / "t.cplx"
+        run(capsys, "generate", "torus:45,4,4", "--out", str(f))
+        assert run(capsys, "fold", str(f)) == (1, FOLD_T45, "")
+        cplx = torus_grid((45, 4, 4))
+        perm = list(range(cplx.vertex_count))
+        random.Random(45).shuffle(perm)
+        cubes = [tuple(perm[v] for v in cplx.cubes[k][i])
+                 for k, i in cplx.maximal_cubes()]
+        g = tmp_path / "r.cplx"
+        g.write_text(serialize_complex(
+            CubicalComplex.from_maximal_cubes(cplx.vertex_count, cubes)))
+        assert run(capsys, "fold", str(g)) == (1, FOLD_T45_RELABELLED, "")
+
     def test_decompose_writes_spaces(self, tmp_path, capsys):
         f = tmp_path / "t.cplx"
         run(capsys, "generate", "torus:4,4", "--out", str(f))
@@ -236,6 +267,28 @@ class TestOtherCommands:
         assert code == 0
         assert "euler_characteristic = 0" in out
         assert "provenance = torus:4,4" in out
+
+
+FOLD_T45 = (
+    "folding-report v1\n"
+    "foldable = false\n"
+    "reason = parity\n"
+    "classes = 0 1 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25"
+    " 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48\n"
+    "cycle = 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23"
+    " 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44\n"
+    "cycle.length = 45\n")
+
+FOLD_T45_RELABELLED = (
+    "folding-report v1\n"
+    "foldable = false\n"
+    "reason = parity\n"
+    "classes = 2 3 7 8 9 11 13 14 15 16 18 19 20 21 22 23 24 25 26 27 28 29"
+    " 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52\n"
+    "cycle = 0 222 122 229 305 210 142 145 515 682 524 188 385 644 590 456"
+    " 228 357 442 195 316 261 360 372 596 678 253 48 404 471 542 46 614 380"
+    " 37 77 480 423 605 637 403 9 452 42 352\n"
+    "cycle.length = 45\n")
 
 
 class TestInternalErrors:

@@ -1,13 +1,17 @@
 import itertools
+import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foldcc.core import CubicalComplex, SimplicialComplex, load_complex
 from foldcc.errors import NotHomogeneous
-from foldcc.folding import (Folding, NotFoldable, coloring_from, find_folding,
-                            fold_simplicial, parallel_classes,
-                            serialize_folding, verify_folding)
-from foldcc.generators import (cycle_graph, davis_X, hemispherex,
+from foldcc.folding import (Folding, NotFoldable, _odd_crossing_cycle,
+                            coloring_from, find_folding, fold_simplicial,
+                            parallel_classes, serialize_folding,
+                            verify_folding)
+from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                standard_sphere, torus_grid)
 
 
@@ -213,6 +217,39 @@ class TestFoldSimplicial:
         with pytest.raises(NotHomogeneous):
             fold_simplicial(K)
 
+    def test_long_cycle_folds(self):
+        n = 2000
+        K = SimplicialComplex.from_maximal(
+            n, [(i, (i + 1) % n) for i in range(n)])
+        assert fold_simplicial(K) == (1, 2) * (n // 2)
+        K = SimplicialComplex.from_maximal(
+            n + 1, [(i, (i + 1) % (n + 1)) for i in range(n + 1)])
+        assert isinstance(fold_simplicial(K), NotFoldable)
+
+    def test_colorings_match_the_recursive_search(self):
+        corpus = [standard_sphere(1), standard_sphere(2), standard_sphere(3)]
+        for n, mult in [(1, (1, 1)), (1, (2, 2)), (1, (3, 1)), (2, (1, 1, 1)),
+                        (2, (2, 1, 2)), (2, (3, 1, 1)), (3, (1, 1, 1, 1))]:
+            corpus.append(hemispherex(n, mult, allow_dim1=True).complex)
+        corpus.append(SimplicialComplex.from_maximal(
+            5, [(i, (i + 1) % 5) for i in range(5)]))
+        for K in corpus:
+            got = fold_simplicial(K)
+            assert (None if isinstance(got, NotFoldable) else got) == \
+                recursive_fold_simplicial(K)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+        lambda e: e[0] < e[1]), min_size=1))
+    def test_graph_colorings_match_the_recursive_search(self, edges):
+        used = sorted({v for e in edges for v in e})
+        index = {v: i for i, v in enumerate(used)}
+        K = SimplicialComplex.from_maximal(
+            len(used), [(index[u], index[w]) for u, w in sorted(edges)])
+        got = fold_simplicial(K)
+        assert (None if isinstance(got, NotFoldable) else got) == \
+            recursive_fold_simplicial(K)
+
     def test_every_hemispherex_folds(self):
         for n, mult in [(1, (1, 1)), (1, (2, 2)), (2, (1, 1, 1)),
                         (2, (2, 1, 2)), (3, (1, 1, 1, 1))]:
@@ -221,3 +258,153 @@ class TestFoldSimplicial:
             assert not isinstance(colors, NotFoldable)
             for u, w in K.simplices[1]:
                 assert colors[u] != colors[w]
+
+
+def recursive_fold_simplicial(K):
+    # The recursive backtracking fold_simplicial must reproduce: MRV with
+    # lowest-id ties, lowest color first.  None when no coloring exists.
+    colors = {}
+    domain = {v: set(range(1, K.dim + 2)) for v in range(K.vertex_count)}
+    pool = set(range(K.vertex_count))
+
+    def solve():
+        if not pool:
+            return True
+        v = min(pool, key=lambda x: (len(domain[x]), x))
+        pool.discard(v)
+        for c in sorted(domain[v]):
+            removed = []
+            ok = True
+            colors[v] = c
+            for w in K.neighbors(v):
+                if w in colors:
+                    if colors[w] == c:
+                        ok = False
+                        break
+                elif c in domain[w]:
+                    domain[w].discard(c)
+                    removed.append(w)
+                    if not domain[w]:
+                        ok = False
+                        break
+            if ok and solve():
+                return True
+            del colors[v]
+            for w in removed:
+                domain[w].add(c)
+        pool.add(v)
+        return False
+
+    if solve():
+        return tuple(colors[v] for v in range(K.vertex_count))
+    return None
+
+
+def reference_odd_crossing_cycle(cplx, edge_set):
+    # The plain search the witness must reproduce: a BFS on the parity
+    # double cover from every base vertex in order, each cut at the
+    # shortest cycle found so far.
+    adj = [[] for _ in range(cplx.vertex_count)]
+    for e in range(cplx.n_cubes(1)):
+        u, w = cplx.cubes[1][e]
+        flip = 1 if e in edge_set else 0
+        adj[u].append((w, flip))
+        adj[w].append((u, flip))
+    best = None
+    for base in range(cplx.vertex_count):
+        prev = {(base, 0): None}
+        queue = deque([(base, 0, 0)])
+        while queue:
+            u, p, d = queue.popleft()
+            if best is not None and d >= best[0]:
+                break
+            for w, flip in adj[u]:
+                state = (w, p ^ flip)
+                if state not in prev:
+                    prev[state] = (u, p)
+                    if state == (base, 1):
+                        path = []
+                        cur = state
+                        while cur is not None:
+                            path.append(cur[0])
+                            cur = prev[cur]
+                        path.reverse()
+                        if best is None or len(path) - 1 < best[0]:
+                            best = (len(path) - 1, tuple(path[:-1]))
+                    else:
+                        queue.append((w, p ^ flip, d + 1))
+    return best[1] if best else None
+
+
+def disjoint_union(parts, isolated=0):
+    # the complexes side by side, vertex ids shifted, then isolated vertices
+    cubes, offset = [], 0
+    for cplx in parts:
+        cubes.extend(tuple(v + offset for v in cplx.cubes[k][i])
+                     for k, i in cplx.maximal_cubes())
+        offset += cplx.vertex_count
+    cubes.extend((v,) for v in range(offset, offset + isolated))
+    return CubicalComplex.from_maximal_cubes(offset + isolated, cubes)
+
+
+def _double_arc_X():
+    return davis_X(hemispherex(1, (1, 1), allow_dim1=True).complex).complex
+
+
+WITNESS_BASES = [
+    cycle_graph(3), cycle_graph(6), torus_grid((3, 4)), torus_grid((5, 4)),
+    torus_grid((3, 3, 4)), torus_grid((5, 4, 4)), _double_arc_X(),
+    product(cycle_graph(3), cycle_graph(5)),
+    disjoint_union([cycle_graph(4), torus_grid((3, 5))], isolated=2),
+    disjoint_union([torus_grid((4, 4)), cycle_graph(5), cycle_graph(3)]),
+]
+
+
+@st.composite
+def crossing_sets(draw):
+    # a relabelled small complex and an edge set: either random edges or
+    # a union of parallel classes, the sets a parity failure hands over
+    base = draw(st.sampled_from(WITNESS_BASES))
+    perm = draw(st.permutations(range(base.vertex_count)))
+    cplx = relabel(base, perm)
+    n_edges = cplx.n_cubes(1)
+    if draw(st.booleans()):
+        edges = draw(st.sets(st.integers(0, n_edges - 1)))
+    else:
+        class_of = parallel_classes(cplx).class_of
+        chosen = draw(st.sets(st.sampled_from(sorted(set(class_of)))))
+        edges = {e for e in range(n_edges) if class_of[e] in chosen}
+    return cplx, edges
+
+
+class TestParityWitness:
+    @settings(max_examples=150, deadline=None)
+    @given(crossing_sets())
+    def test_matches_the_search_from_every_vertex(self, case):
+        cplx, edges = case
+        assert _odd_crossing_cycle(cplx, edges) == \
+            reference_odd_crossing_cycle(cplx, edges)
+
+    def test_parity_failures_match_the_reference(self):
+        rng = random.Random(5)
+        for dims in [(5,), (3, 4), (5, 4), (3, 3, 4), (7, 4, 4)]:
+            base = torus_grid(dims)
+            for _ in range(3):
+                result = find_folding(base)
+                assert result.reason == "parity"
+                assert result.cycle == reference_odd_crossing_cycle(
+                    *result.crossed)
+                perm = list(range(base.vertex_count))
+                rng.shuffle(perm)
+                base = relabel(base, perm)
+
+    def test_long_odd_torus(self):
+        k = 201
+        cycle = find_folding(torus_grid((k, 4, 4))).cycle
+        assert len(cycle) == k
+        # vertex id x + k*y + 4k*z: sum the signed steps along x
+        steps = 0
+        for u, w in zip(cycle, cycle[1:] + cycle[:1]):
+            dx = (w % k - u % k) % k
+            steps += {0: 0, 1: 1, k - 1: -1}[dx]
+        assert (steps // k) % 2 == 1 and steps % k == 0
