@@ -61,22 +61,20 @@ def canonical_cube(corners):
     return _corner_picker(p0, tuple(axes))(corners)
 
 
+@lru_cache(maxsize=None)
+def _face_pickers(k):
+    # k-cube corners -> face corners, at 2*axis + side; an edge's faces
+    # are slices, so they stay tuples
+    return [operator.itemgetter(
+                *[b for b in range(1 << k) if (b >> axis) & 1 == side])
+            if k > 1 else operator.itemgetter(slice(side, side + 1))
+            for axis in range(k) for side in (0, 1)]
+
+
 def cube_face(corners, axis, side):
     """Codimension-1 face of a cube tuple: fix coordinate `axis` to `side`."""
     k = (len(corners) - 1).bit_length()
-    return tuple(corners[b] for b in range(1 << k) if (b >> axis) & 1 == side)
-
-
-def _is_position_face(positions):
-    # positions: distinct corner positions inside a cube; True iff they
-    # form the position set of a face (all bits outside the mixed bits agree)
-    and_mask = ~0
-    or_mask = 0
-    for p in positions:
-        and_mask &= p
-        or_mask |= p
-    free = or_mask & ~and_mask
-    return len(positions) == 1 << free.bit_count()
+    return _face_pickers(k)[2 * axis + side](corners)
 
 
 def _face_closure(vertex_count, maximal):
@@ -84,7 +82,7 @@ def _face_closure(vertex_count, maximal):
 
     Returns the cubes by dim (each level sorted, level 0 all vertices), the
     map vertex set -> (dim, index) and the face table of CubicalComplex.
-    Every face is canonicalized once per cube it bounds.
+    Every side-1 face is canonicalized once per cube it bounds.
     """
     levels = {}   # dim -> canonical cubes in order of discovery
     found = {}    # vertex set -> position in levels[dim]
@@ -112,10 +110,16 @@ def _face_closure(vertex_count, maximal):
         place(canonical_cube(tuple(corners)), k)
     top = max(levels) if levels else 0
     # faces only go down, so level k is complete once level k+1 is done
+    # a side-0 face keeps the least corner and its neighbours in increasing
+    # order, so it is canonical already; only side-1 faces are reordered
     for k in range(top, 0, -1):
-        facets[k] = [place(canonical_cube(cube_face(cube, axis, side)), k - 1)
-                     for cube in levels.get(k, ())
-                     for axis in range(k) for side in (0, 1)]
+        pickers = _face_pickers(k)
+        sides = list(zip(pickers[::2], pickers[1::2]))
+        row = facets[k] = []
+        for cube in levels.get(k, ()):
+            for side0, side1 in sides:
+                row.append(place(side0(cube), k - 1))
+                row.append(place(canonical_cube(side1(cube)), k - 1))
 
     cubes_by_dim = [tuple((v,) for v in range(vertex_count))]
     face_table = [[]]
@@ -216,16 +220,12 @@ class CubicalComplex:
     queries are pure.
     """
 
-    def __init__(self, vertex_count, cubes_by_dim, provenance=None,
-                 by_vset=None, face_table=None):
-        # internal: use from_maximal_cubes / _from_closed
+    def __init__(self, vertex_count, cubes_by_dim, by_vset, face_table,
+                 provenance=None):
+        # internal: use from_maximal_cubes
         self.vertex_count = vertex_count
         self.cubes = cubes_by_dim  # tuple over dims of tuples of corner tuples
         self.provenance = provenance
-        if by_vset is None:
-            by_vset = {frozenset(c): (k, i)
-                       for k, level in enumerate(self.cubes)
-                       for i, c in enumerate(level)}
         self._by_vset = by_vset
         # per dim k: face indices (in dim k-1) of every k-cube, 2k per cube
         # in axis/side order
@@ -234,6 +234,7 @@ class CubicalComplex:
         self._link_adj = None
         self._star = None
         self._cofaces = None
+        self._n_cofaces = None
         self._maximal = None
         self._axes = {}
 
@@ -244,28 +245,18 @@ class CubicalComplex:
                            provenance=None):
         """Build the face closure of the given cubes.
 
+        The cubes need not be maximal: pieces of a checked complex pass
+        their whole face-closed cube set with `check_intersections` off.
         Raises NotAComplex on repeated corners, on two cubes sharing a full
         vertex set with different combinatorial structure, or (when
         `check_intersections` is set) on a pair of cubes whose vertex sets
         intersect in something that is not a common face.
         """
-        cubes_by_dim, by_vset, face_table = _face_closure(vertex_count, maximal)
-        cplx = cls(vertex_count, cubes_by_dim, provenance=provenance,
-                   by_vset=by_vset, face_table=face_table)
+        cplx = cls(vertex_count, *_face_closure(vertex_count, maximal),
+                   provenance=provenance)
         if check_intersections:
             cplx._check_intersections()
         return cplx
-
-    @classmethod
-    def _from_closed(cls, vertex_count, cubes_by_dim):
-        # cubes already face-closed (e.g. relabelled from a closed complex);
-        # tuples are re-canonicalized but no closure or axiom check is run.
-        levels = [tuple((v,) for v in range(vertex_count))] + [
-            tuple(sorted(canonical_cube(c) for c in set(level)))
-            for level in cubes_by_dim[1:]]
-        while len(levels) > 1 and not levels[-1]:
-            levels.pop()
-        return cls(vertex_count, tuple(levels))
 
     def _check_intersections(self):
         # The intersection axiom for all cube pairs follows from the axiom
@@ -281,12 +272,20 @@ class CubicalComplex:
         for v in range(self.vertex_count):
             for a, b in itertools.combinations(at[v], 2):
                 inter = vsets[a] & vsets[b]
-                if min(inter) != v:
+                size = len(inter)
+                # a single shared vertex is a corner of both
+                if size == 1 or min(inter) != v:
                     continue
-                if not all(_is_position_face([maximal[j].index(w) for w in inter])
-                           for j in (a, b)):
-                    raise NotAComplex("cube intersection is not a face",
-                                      detail=(maximal[a], maximal[b]))
+                # the corner positions of a face differ from v's in the
+                # same log2(size) bits
+                for cube in (maximal[a], maximal[b]):
+                    p0 = cube.index(v)
+                    free = 0
+                    for w in inter:
+                        free |= cube.index(w) ^ p0
+                    if size != 1 << free.bit_count():
+                        raise NotAComplex("cube intersection is not a face",
+                                          detail=(maximal[a], maximal[b]))
 
     # -- basic queries -------------------------------------------------------
 
@@ -312,21 +311,12 @@ class CubicalComplex:
     def faces(self, k, i):
         """The 2k codimension-1 faces of cube (k, i), in axis/side order."""
         return [(k - 1, fi)
-                for fi in self._face_table()[k][2 * k * i:2 * k * (i + 1)]]
-
-    def _face_table(self):
-        if self._faces is None:
-            by_vset = self._by_vset
-            self._faces = [
-                [by_vset[frozenset(cube_face(cube, axis, side))][1]
-                 for cube in level for axis in range(k) for side in (0, 1)]
-                for k, level in enumerate(self.cubes)]
-        return self._faces
+                for fi in self._faces[k][2 * k * i:2 * k * (i + 1)]]
 
     def _build_cofaces(self):
         if self._cofaces is None:
             tables = [[[] for _ in level] for level in self.cubes]
-            for d, row in enumerate(self._face_table()):
+            for d, row in enumerate(self._faces):
                 for j, fi in enumerate(row):
                     tables[d - 1][fi].append((d, j // (2 * d)))
             self._cofaces = tables
@@ -335,15 +325,23 @@ class CubicalComplex:
     def cofaces(self, k, i):
         return self._build_cofaces()[k][i]
 
+    def _coface_counts(self, k):
+        """Number of cofaces of every k-cube, by index."""
+        if self._n_cofaces is None:
+            counts = [[0] * len(level) for level in self.cubes]
+            for d, row in enumerate(self._faces):
+                below = counts[d - 1]
+                for fi in row:
+                    below[fi] += 1
+            self._n_cofaces = counts
+        return self._n_cofaces[k]
+
     def maximal_cubes(self):
         """Cubes that are no face of another cube, in (dim, index) order."""
         if self._maximal is None:
-            covered = [bytearray(len(level)) for level in self.cubes]
-            for d, row in enumerate(self._face_table()):
-                for fi in row:
-                    covered[d - 1][fi] = 1
-            self._maximal = [(d, i) for d, marks in enumerate(covered)
-                             for i, mark in enumerate(marks) if not mark]
+            self._maximal = [(d, i) for d in range(len(self.cubes))
+                             for i, c in enumerate(self._coface_counts(d))
+                             if not c]
         return self._maximal
 
     def homogeneity_witness(self):
@@ -461,13 +459,9 @@ def restrict_complex(parent, cube_refs):
     """
     verts = sorted({v for k, i in cube_refs for v in parent.cubes[k][i]})
     vmap = {v: j for j, v in enumerate(verts)}
-    by_dim = {}
-    for k, i in cube_refs:
-        by_dim.setdefault(k, []).append(
-            tuple(vmap[v] for v in parent.cubes[k][i]))
-    top = max(by_dim) if by_dim else 0
-    levels = [tuple(by_dim.get(k, ())) for k in range(top + 1)]
-    cplx = CubicalComplex._from_closed(len(verts), levels)
+    cplx = CubicalComplex.from_maximal_cubes(
+        len(verts), [tuple(vmap[v] for v in parent.cubes[k][i])
+                     for k, i in cube_refs], check_intersections=False)
     return ComponentPiece(cplx, tuple(verts), vmap)
 
 
@@ -600,19 +594,12 @@ def is_flag(K):
     non-spanning clique, as a sorted vertex tuple.
     """
     nbrs = [set(K.neighbors(v)) for v in range(K.vertex_count)]
+    # the top level included: no clique above it spans a simplex
     for k in range(1, len(K.simplices)):
         for s in K.simplices[k]:
             common = set.intersection(*(nbrs[v] for v in s))
             for w in sorted(common):
                 if w > s[-1] and not K.has(s + (w,)):
-                    return False, tuple(sorted(s + (w,)))
-    # cliques one larger than the top dimension
-    if K.simplices[-1]:
-        k = len(K.simplices) - 1
-        for s in K.simplices[k]:
-            common = set.intersection(*(nbrs[v] for v in s))
-            for w in sorted(common):
-                if w > s[-1]:
                     return False, tuple(sorted(s + (w,)))
     return True, None
 
@@ -745,12 +732,53 @@ class FccReport:
         return render_report("fcc-report v1", self.to_kv())
 
 
+def _flag_witness(cplx):
+    """(v, directions) of the least vertex whose link is not flag, or None.
+
+    A clique grows one direction at a time, so the link at v is flag iff
+    every direction link-adjacent (`link_adj(v)`) to all directions of a
+    k-cube s at v, k >= 2, spans a (k+1)-coface of s with them.  This
+    assumes that distinct cubes at v have distinct direction sets.  The
+    intersection axiom gives it: two k-cubes at v on the same directions
+    share v and its k neighbours, and the only face holding those is the
+    whole cube, so the two are one cube.  The generators build complexes
+    that satisfy it.  Cofaces of s then add distinct directions, so the
+    test is a count: s has as many (k+1)-cofaces as its directions have
+    common link neighbours (a top cube none).  A vertex that fails the
+    count gets its link built, and `is_flag` confirms it and names the
+    witness.
+    """
+    suspect = bytearray(cplx.vertex_count)
+    link_adj = [cplx.link_adj(v) for v in range(cplx.vertex_count)]
+    for k in range(2, len(cplx.cubes)):
+        counts = cplx._coface_counts(k)
+        # per corner position: its neighbour along axis 0, then the rest
+        steps = [(p, p ^ 1, [p ^ (1 << ax) for ax in range(1, k)])
+                 for p in range(1 << k)]
+        for cube, count in zip(cplx.cubes[k], counts):
+            for p, q, rest in steps:
+                adj = link_adj[cube[p]]
+                common = adj[cube[q]].intersection(*[adj[cube[r]]
+                                                     for r in rest])
+                if len(common) != count:
+                    suspect[cube[p]] = 1
+    for v in range(cplx.vertex_count):
+        if suspect[v]:
+            lnk = link(cplx, v)
+            ok, bad = is_flag(lnk.complex)
+            if not ok:
+                return v, tuple(lnk.directions[j] for j in bad)
+    return None
+
+
 def validate_fcc(cplx, folding=None):
     """Check the FCC axioms and report each one.
 
     `folding` may carry a precomputed folding to verify instead of searching
-    for one.  Empty and 0-dimensional complexes are never FCCs (a top
-    dimension of at least 1 is required).
+    for one; a folding that `find_folding` built for this very complex was
+    verified there and is not verified again.  Empty and 0-dimensional
+    complexes are never FCCs (a top dimension of at least 1 is required).
+    The flag test reads the face table (see `_flag_witness`).
     """
     from . import folding as folding_mod
 
@@ -758,30 +786,21 @@ def validate_fcc(cplx, folding=None):
     connected = cplx.vertex_count > 0 and cplx.is_connected()
     homog_witness = cplx.homogeneity_witness() if n >= 1 else None
     homogeneous = n >= 1 and homog_witness is None
-    no_boundary = n >= 1
     boundary_witness = None
-    if homogeneous and n >= 1:
-        for i in range(cplx.n_cubes(n - 1)):
-            if len(cplx.cofaces(n - 1, i)) < 2:
-                no_boundary = False
-                boundary_witness = cplx.cubes[n - 1][i]
-                break
-    elif n >= 1:
-        no_boundary = False
-    flag_links = True
-    flag_witness = None
-    for v in range(cplx.vertex_count):
-        lnk = link(cplx, v)
-        ok, bad = is_flag(lnk.complex)
-        if not ok:
-            flag_links = False
-            flag_witness = (v, tuple(lnk.directions[j] for j in bad))
-            break
+    if homogeneous:
+        boundary_witness = next((cplx.cubes[n - 1][i] for i, count in
+                                 enumerate(cplx._coface_counts(n - 1))
+                                 if count < 2), None)
+    no_boundary = homogeneous and boundary_witness is None
+    flag_witness = _flag_witness(cplx)
+    flag_links = flag_witness is None
     foldable = False
     fold_witness = None
-    if homogeneous and n >= 1:
+    if homogeneous:
         if folding is not None:
-            foldable = folding_mod.verify_folding(cplx, folding)
+            # a folding find_folding built for this complex is verified
+            foldable = (folding._verified_for is cplx
+                        or folding_mod.verify_folding(cplx, folding))
         else:
             result = folding_mod.find_folding(cplx)
             if isinstance(result, folding_mod.NotFoldable):
@@ -789,7 +808,7 @@ def validate_fcc(cplx, folding=None):
             else:
                 foldable = True
     is_fcc = (connected and homogeneous and no_boundary and flag_links
-              and foldable and n >= 1)
+              and foldable)
     return FccReport(n, connected, homogeneous, no_boundary, flag_links,
                      foldable, is_fcc, homog_witness, boundary_witness,
                      flag_witness, fold_witness)
@@ -812,6 +831,12 @@ def render_report(header, pairs):
     for key, value in pairs:
         lines.append("%s = %s" % (key, _format_value(value)))
     return "\n".join(lines) + "\n"
+
+
+# Largest `vertices N` a file may declare.  Loading allocates per-vertex
+# tables before it reads a cell, so a huge N in a one-line header would
+# exhaust memory; X(H) with m = (2, 2, 2) (131,072 cubes) stays far below.
+MAX_VERTICES = 1 << 20
 
 
 def _parse_cell_file(text, kind, cell_word):
@@ -845,6 +870,9 @@ def _parse_cell_file(text, kind, cell_word):
                 raise ParseError("line %d: bad vertex count" % lineno)
             if vertex_count < 0:
                 raise ParseError("line %d: negative vertex count" % lineno)
+            if vertex_count > MAX_VERTICES:
+                raise ParseError("line %d: more than %d vertices"
+                                 % (lineno, MAX_VERTICES))
             continue
         if parts[0] != cell_word or len(parts) < 2:
             raise ParseError("line %d: expected '%s <k> <vertices>'"

@@ -113,16 +113,14 @@ def hyperplanes(cplx, coloring, color):
     out = []
     for ci, verts in enumerate(groups):
         local = {e: j for j, e in enumerate(verts)}
-        levels = {}
         carrier_by_vset = {}
         for ref, corners in comp_mids[ci]:
-            lc = tuple(local[e] for e in corners)
-            k = len(corners).bit_length() - 1
-            levels.setdefault(k, []).append(lc)
-            carrier_by_vset[frozenset(lc)] = ref
-        top = max(levels) if levels else 0
-        cx = CubicalComplex._from_closed(
-            len(verts), [levels.get(k, ()) for k in range(top + 1)])
+            carrier_by_vset[frozenset(local[e] for e in corners)] = ref
+        # the midcubes of one component are closed under faces
+        cx = CubicalComplex.from_maximal_cubes(
+            len(verts), [tuple(local[e] for e in corners)
+                         for _, corners in comp_mids[ci]],
+            check_intersections=False)
         carrier = {}
         for k in range(1, cx.dim + 1):
             for i, cube in enumerate(cx.cubes[k]):

@@ -15,6 +15,7 @@ reduced to a GF(2) basis over the classes and the direction search honours
 that basis.
 """
 
+import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .core import DisjointSet, spanning_forest_labels
 from .errors import ConstructionFailed, NotHomogeneous
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParallelClasses:
     """Finest square-parallelism partition of the edges of a complex.
 
@@ -88,14 +89,21 @@ class NotFoldable:
         return _odd_crossing_cycle(*self.crossed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Folding:
-    """A folding onto the n-cube, stored per parallel class and vertex."""
+    """A folding onto the n-cube, stored per parallel class and vertex.
+
+    Immutable: a changed copy (`dataclasses.replace`) is a new, unverified
+    folding.
+    """
     complex: object
     classes: ParallelClasses
     n: int
     direction_of: tuple    # class id -> direction in 1..n
     vertex_corner: tuple   # vertex -> int bitmask, bit d-1 = coordinate d
+    # the complex find_folding verified this folding on, else None
+    _verified_for: object = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def corner_bits(self, v):
         return format(self.vertex_corner[v], "0%db" % self.n)[::-1]
@@ -221,13 +229,79 @@ def _mask_clique(mask, masks, size):
     return False
 
 
-def _search_directions(n, reps, conflicts, vectors):
-    # Exact backtracking: proper coloring of the conflict graph with colors
-    # 1..n such that every GF(2) basis vector has even multiplicity of each
-    # color.  Deterministic: MRV with lowest-id ties, lowest color first.
-    order_pool = set(reps)
-    domain = {r: set(range(1, n + 1)) for r in reps}
+def _mrv_coloring(items, n_colors, neighbors, assign=None):
+    """Proper coloring of `items` by 1..n_colors, or None.
+
+    Backtracking on an explicit stack, one frame per colored item:
+    [item, its candidate colors, next candidate, neighbours whose domain
+    lost the current color].  Deterministic: MRV with lowest-id ties,
+    lowest color first.  `neighbors(x)` gives the items x must differ
+    from.  `assign(x, c, 1)` records x taking c and returns False when
+    that rules c out; `assign(x, c, -1)` takes it back.
+    """
+    domain = {x: set(range(1, n_colors + 1)) for x in items}
+    pool = set(domain)
     color = {}
+    # lazy MRV heap: (domain size, item) is pushed whenever an item enters
+    # the pool or its domain changes; an entry is live iff its item is in
+    # the pool with that domain size
+    heap = [(n_colors, x) for x in sorted(pool)]
+    stack = []
+
+    def push():
+        while True:
+            size, x = heapq.heappop(heap)
+            if x in pool and len(domain[x]) == size:
+                break
+        pool.discard(x)
+        stack.append([x, sorted(domain[x]), 0, None])
+
+    if not pool:
+        return color
+    push()
+    while stack:
+        frame = stack[-1]
+        x, cands, i, removed = frame
+        if removed is not None:
+            c = cands[i - 1]
+            del color[x]
+            if assign is not None:
+                assign(x, c, -1)
+            for w in removed:
+                domain[w].add(c)
+                heapq.heappush(heap, (len(domain[w]), w))
+            frame[3] = None
+        if i == len(cands):
+            stack.pop()
+            pool.add(x)
+            heapq.heappush(heap, (len(domain[x]), x))
+            continue
+        c = cands[i]
+        frame[2] = i + 1
+        frame[3] = removed = []
+        color[x] = c
+        ok = assign is None or assign(x, c, 1)
+        if ok:
+            for w in neighbors(x):
+                if w in color or c not in domain[w]:
+                    continue
+                domain[w].discard(c)
+                removed.append(w)
+                heapq.heappush(heap, (len(domain[w]), w))
+                if not domain[w]:
+                    ok = False
+                    break
+        if ok:
+            if not pool:
+                return color
+            push()
+    return None
+
+
+def _search_directions(n, reps, conflicts, vectors):
+    # Exact search: proper coloring of the conflict graph with colors 1..n
+    # such that every GF(2) basis vector has even multiplicity of each
+    # color.
     vec_counts = [dict.fromkeys(range(1, n + 1), 0) for _ in vectors]
     vec_left = [len(s) for s in vectors]
     in_vecs = {r: [] for r in reps}
@@ -235,49 +309,16 @@ def _search_directions(n, reps, conflicts, vectors):
         for r in support:
             in_vecs[r].append(vi)
 
-    def vec_ok(vi):
-        odd = sum(1 for c in vec_counts[vi].values() if c % 2)
-        return odd <= vec_left[vi]
+    def assign(r, c, sign):
+        # a vector can still end even while its odd colors do not
+        # outnumber its uncolored classes
+        for vi in in_vecs[r]:
+            vec_counts[vi][c] += sign
+            vec_left[vi] -= sign
+        return all(sum(k % 2 for k in vec_counts[vi].values()) <= vec_left[vi]
+                   for vi in in_vecs[r])
 
-    def solve():
-        if not order_pool:
-            return True
-        r = min(order_pool, key=lambda x: (len(domain[x]), x))
-        order_pool.discard(r)
-        for c in sorted(domain[r]):
-            color[r] = c
-            ok = True
-            for vi in in_vecs[r]:
-                vec_counts[vi][c] += 1
-                vec_left[vi] -= 1
-            removed = []
-            for vi in in_vecs[r]:
-                if not vec_ok(vi):
-                    ok = False
-                    break
-            if ok:
-                for nb in conflicts.get(r, ()):
-                    if nb in color or c not in domain[nb]:
-                        continue
-                    domain[nb].discard(c)
-                    removed.append(nb)
-                    if not domain[nb]:
-                        ok = False
-                        break
-            if ok and solve():
-                return True
-            for nb in removed:
-                domain[nb].add(c)
-            for vi in in_vecs[r]:
-                vec_counts[vi][c] -= 1
-                vec_left[vi] += 1
-            del color[r]
-        order_pool.add(r)
-        return False
-
-    if solve():
-        return dict(color)
-    return None
+    return _mrv_coloring(reps, n, lambda r: conflicts.get(r, ()), assign)
 
 
 def find_folding(cplx):
@@ -397,6 +438,7 @@ def find_folding(cplx):
     folding = Folding(cplx, classes, n, direction_of, tuple(corner))
     if not verify_folding(cplx, folding):
         raise ConstructionFailed("constructed folding failed verification")
+    object.__setattr__(folding, "_verified_for", cplx)
     return folding
 
 
@@ -478,60 +520,14 @@ def coloring_from(folding):
 def fold_simplicial(K):
     """Proper (dim+1)-coloring of the 1-skeleton, i.e. a simplicial folding
     onto the top simplex; NotFoldable when no such coloring exists."""
-    m = K.dim
-    if m < 0 or K.vertex_count == 0:
+    if K.dim < 0 or K.vertex_count == 0:
         raise NotHomogeneous("empty complex")
     if not K.is_dimensionally_homogeneous():
         raise NotHomogeneous("complex is not dimensionally homogeneous")
-    n_colors = m + 1
-    colors = {}
-    domain = {v: set(range(1, n_colors + 1)) for v in range(K.vertex_count)}
-    pool = set(range(K.vertex_count))
-
-    # Backtracking on an explicit stack, one frame per colored vertex:
-    # [vertex, its candidate colors, next candidate, neighbours whose domain
-    # lost the current color].  Deterministic: MRV with lowest-id ties,
-    # lowest color first.
-    def push():
-        v = min(pool, key=lambda x: (len(domain[x]), x))
-        pool.discard(v)
-        stack.append([v, sorted(domain[v]), 0, None])
-
-    stack = []
-    push()
-    while stack:
-        frame = stack[-1]
-        v, cands, i, removed = frame
-        if removed is not None:
-            del colors[v]
-            for w in removed:
-                domain[w].add(cands[i - 1])
-            frame[3] = None
-        if i == len(cands):
-            stack.pop()
-            pool.add(v)
-            continue
-        c = cands[i]
-        frame[2] = i + 1
-        frame[3] = removed = []
-        ok = True
-        colors[v] = c
-        for w in K.neighbors(v):
-            if w in colors:
-                if colors[w] == c:
-                    ok = False
-                    break
-            elif c in domain[w]:
-                domain[w].discard(c)
-                removed.append(w)
-                if not domain[w]:
-                    ok = False
-                    break
-        if ok:
-            if not pool:
-                return tuple(colors[v] for v in range(K.vertex_count))
-            push()
-    return NotFoldable("simplicial")
+    colors = _mrv_coloring(range(K.vertex_count), K.dim + 1, K.neighbors)
+    if colors is None:
+        return NotFoldable("simplicial")
+    return tuple(colors[v] for v in range(K.vertex_count))
 
 
 def serialize_folding(folding):

@@ -1,9 +1,10 @@
 import os
 import random
+import tracemalloc
 
 import pytest
 
-from foldcc import cli
+from foldcc import cli, folding
 from foldcc.cli import main
 from foldcc.core import CubicalComplex, load_complex, serialize_complex
 from foldcc.errors import ConstructionFailed
@@ -124,6 +125,39 @@ class TestValidate:
         code, out, err = run(capsys, "validate", str(f))
         assert code == 64
         assert err == "error: cube of dimension 3 needs 8 corners, got 2\n"
+
+    def test_huge_vertex_count_exits_64_before_allocating(self, tmp_path,
+                                                          capsys):
+        f = tmp_path / "huge.cplx"
+        f.write_text("cubical-complex v1\nvertices 1000000000000000\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "validate", str(f))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 64
+        assert_refusal(out, err)
+        assert err == "error: line 2: more than 1048576 vertices\n"
+        assert peak < 1 << 20
+
+
+class TestRankVerifiesOnce:
+    def test_rank_calls_verify_folding_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        path = tmp_path / "t.cplx"
+        path.write_text(serialize_complex(torus_grid((4, 4, 4))))
+        calls = []
+        real = folding.verify_folding
+
+        def counted(cplx, fold):
+            calls.append(fold)
+            return real(cplx, fold)
+
+        monkeypatch.setattr(folding, "verify_folding", counted)
+        code, out, _ = run(capsys, "rank", str(path), "--dim3")
+        assert code == 0 and "verdict = split" in out
+        assert len(calls) == 1
 
 
 class TestUsageErrors:

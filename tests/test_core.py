@@ -4,15 +4,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldcc import core
 from foldcc.core import (CubicalComplex, DisjointSet, SimplicialComplex,
-                         canonical_cube, components, cube_face, is_flag, link,
-                         load_complex, load_simplicial, restrict_complex,
-                         serialize_complex, serialize_simplicial,
-                         simplicial_isomorphic, spanning_forest_labels,
-                         validate_fcc)
+                         _flag_witness, canonical_cube, components, cube_face,
+                         is_flag, link, load_complex, load_simplicial,
+                         restrict_complex, serialize_complex,
+                         serialize_simplicial, simplicial_isomorphic,
+                         spanning_forest_labels, validate_fcc)
 from foldcc.errors import NotAComplex, NotHomogeneous, ParseError, UnknownVertex
 from foldcc.folding import find_folding
-from foldcc.generators import cycle_graph, standard_sphere, torus_grid
+from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
+                               standard_sphere, torus_grid)
 
 from helpers import brute_force_nonspanning_clique
 
@@ -312,6 +314,76 @@ class TestValidateFcc:
         assert "is_fcc = true" in text
 
 
+def reference_flag_witness(cplx):
+    """The per-vertex flag test the face-table test must reproduce: build
+    every link and run is_flag on it, least vertex first."""
+    for v in range(cplx.vertex_count):
+        lnk = link(cplx, v)
+        ok, bad = is_flag(lnk.complex)
+        if not ok:
+            return v, tuple(lnk.directions[j] for j in bad)
+    return None
+
+
+_XDA = davis_X(hemispherex(1, (1, 1), allow_dim1=True).complex).complex
+FLAG_BASES = [torus_grid((4, 4)), torus_grid((4, 6)), torus_grid((4, 4, 4)),
+              _XDA, product(_XDA, cycle_graph(4)),
+              product(_XDA, cycle_graph(6))]
+
+
+@st.composite
+def pruned_complexes(draw):
+    """A relabelled base complex with 0-3 of its top cubes removed."""
+    base = draw(st.sampled_from(FLAG_BASES))
+    perm = draw(st.permutations(range(base.vertex_count)))
+    cubes = [tuple(perm[v] for v in base.cubes[k][i])
+             for k, i in base.maximal_cubes()]
+    drop = draw(st.sets(st.integers(0, len(cubes) - 1), max_size=3))
+    return CubicalComplex.from_maximal_cubes(
+        base.vertex_count, [c for j, c in enumerate(cubes) if j not in drop])
+
+
+class TestFlagFromFaceTable:
+    @settings(max_examples=40, deadline=None)
+    @given(pruned_complexes())
+    def test_matches_the_per_vertex_links(self, cplx):
+        assert _flag_witness(cplx) == reference_flag_witness(cplx)
+
+    def test_fails_where_a_top_cube_is_missing(self):
+        # a 3-cube's corner link is a filled triangle; without the cube it
+        # is hollow
+        base = torus_grid((4, 4, 4))
+        cubes = [base.cubes[k][i] for k, i in base.maximal_cubes()]
+        cplx = CubicalComplex.from_maximal_cubes(base.vertex_count, cubes[1:])
+        assert _flag_witness(cplx) == reference_flag_witness(cplx)
+        assert _flag_witness(cplx)[0] == cubes[0][0]
+
+    def test_empty_triangle(self):
+        cplx = empty_triangle_complex()
+        assert _flag_witness(cplx) == reference_flag_witness(cplx) \
+            == (0, (1, 2, 3))
+
+    def test_count_failure_is_confirmed_by_the_link(self, monkeypatch):
+        # Two squares at 0 on the directions 1, 2 break the intersection
+        # axiom; a 3-cube on one of them makes the counts disagree at 0,
+        # but the link at 0 (a filled triangle) is flag.  The link is
+        # built there and the search moves on.
+        cplx = CubicalComplex.from_maximal_cubes(
+            10, [(0, 1, 2, 3, 5, 6, 7, 8), (0, 1, 2, 4)],
+            check_intersections=False)
+        built = []
+        monkeypatch.setattr(core, "link", lambda c, v: built.append(v)
+                            or link(c, v))
+        assert _flag_witness(cplx) == reference_flag_witness(cplx)
+        assert 0 in built
+        assert built == sorted(built)
+
+    def test_validate_reports_the_witness(self):
+        report = validate_fcc(empty_triangle_complex())
+        assert (report.flag_links, report.flag_witness) == \
+            (False, (0, (1, 2, 3)))
+
+
 class TestLinkConsequences:
     # links of an FCC of dimension n are homogeneous of dimension n-1,
     # have no boundary and are flag
@@ -449,3 +521,64 @@ class TestGraphHelpers:
                 for e, (u, w) in enumerate(edges))
             for mask in range(1 << n))
         assert mismatch == (not two_colorable)
+
+
+CELL_LINES = st.one_of(
+    st.builds("vertices {}".format, st.integers(-2, 12)),
+    st.builds(lambda k, vs: "cube %d %s" % (k, " ".join(map(str, vs))),
+              st.integers(-1, 3), st.lists(st.integers(-1, 12), max_size=9)),
+    st.builds(lambda k, vs: "simplex %d %s" % (k, " ".join(map(str, vs))),
+              st.integers(-1, 3), st.lists(st.integers(-1, 12), max_size=5)),
+    st.sampled_from(["cubical-complex v1", "simplicial-complex v1",
+                     "# spec: x", "#", "", "cube", "vertices x", "simplex 1"]),
+    st.text(max_size=12))
+
+
+@st.composite
+def documents(draw):
+    """A header, a vertex count and well-sized cell lines with any ids,
+    now and then a junk line."""
+    cubical = draw(st.booleans())
+    n = draw(st.integers(0, 10))
+    lines = ["cubical-complex v1" if cubical else "simplicial-complex v1",
+             "vertices %d" % n]
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(st.integers(0, 3))
+        size = 1 << k if cubical else k + 1
+        ids = draw(st.lists(st.integers(-1, n), min_size=size,
+                            max_size=size))
+        lines.append("%s %d %s" % ("cube" if cubical else "simplex", k,
+                                   " ".join(map(str, ids))))
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(CELL_LINES))
+    return "\n".join(lines) + "\n"
+
+
+class TestLoadersOnAnyText:
+    # a loader returns a complex or raises ParseError or NotAComplex
+    @staticmethod
+    def check(text):
+        for loader, kind in [(load_complex, CubicalComplex),
+                             (load_simplicial, SimplicialComplex)]:
+            try:
+                result = loader(text)
+            except (ParseError, NotAComplex):
+                continue
+            assert isinstance(result, kind)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=60))
+    def test_any_text(self, text):
+        self.check(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["cubical-complex v1\n", "simplicial-complex v1\n",
+                            ""]),
+           st.lists(CELL_LINES, max_size=8))
+    def test_cell_lines(self, header, lines):
+        self.check(header + "\n".join(lines) + "\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(documents())
+    def test_documents(self, text):
+        self.check(text)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import deque
@@ -5,12 +6,14 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldcc.core import CubicalComplex, SimplicialComplex, load_complex
+from foldcc import folding as folding_mod
+from foldcc.core import (CubicalComplex, SimplicialComplex, load_complex,
+                         validate_fcc)
 from foldcc.errors import NotHomogeneous
 from foldcc.folding import (Folding, NotFoldable, _odd_crossing_cycle,
-                            coloring_from, find_folding, fold_simplicial,
-                            parallel_classes, serialize_folding,
-                            verify_folding)
+                            _search_directions, coloring_from, find_folding,
+                            fold_simplicial, parallel_classes,
+                            serialize_folding, verify_folding)
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                standard_sphere, torus_grid)
 
@@ -108,6 +111,13 @@ class TestFindFolding:
             folding = find_folding(davis_X(K).complex)
             assert isinstance(folding, Folding)
 
+    def test_folding_is_immutable(self):
+        folding = find_folding(torus_grid((4, 4)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            folding.n = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            folding.classes.class_count = 0
+
     def test_verification_closure_on_corpus(self, corpus_all):
         for entry in corpus_all:
             assert verify_folding(entry.complex, entry.folding)
@@ -193,6 +203,62 @@ class TestColoring:
             assert all(n > 0 for n in entry.coloring.counts().values())
 
 
+class TestSingleVerification:
+    # find_folding verifies what it builds; validate_fcc(folding=...) then
+    # trusts that folding on that complex and verifies every other one
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        real = folding_mod.verify_folding
+
+        def counted(cplx, folding):
+            calls.append(folding)
+            return real(cplx, folding)
+
+        monkeypatch.setattr(folding_mod, "verify_folding", counted)
+        return calls
+
+    def test_built_folding_is_not_verified_again(self, calls):
+        cplx = torus_grid((4, 4, 4))
+        folding = find_folding(cplx)
+        assert len(calls) == 1
+        assert validate_fcc(cplx, folding=folding).is_fcc
+        assert len(calls) == 1
+
+    def test_hand_built_folding_is_verified(self, calls):
+        cplx = torus_grid((4, 4, 4))
+        built = find_folding(cplx)
+        fields = [getattr(built, f.name) for f in dataclasses.fields(built)
+                  if f.init]
+        assert validate_fcc(cplx, folding=Folding(*fields)).is_fcc
+        assert len(calls) == 2
+        swapped = tuple({1: 2, 2: 1}.get(d, d) for d in built.direction_of)
+        bad_corners = (built.vertex_corner[0] ^ 1,) + built.vertex_corner[1:]
+        for bad in (Folding(*fields[:3], swapped, built.vertex_corner),
+                    Folding(*fields[:4], bad_corners)):
+            report = validate_fcc(cplx, folding=bad)
+            assert not report.foldable and not report.is_fcc
+        assert len(calls) == 4
+
+    def test_corrupted_copy_is_verified(self, calls):
+        cplx = torus_grid((4, 4))
+        built = find_folding(cplx)
+        corner = list(built.vertex_corner)
+        corner[5] ^= 1
+        bad = dataclasses.replace(built, vertex_corner=tuple(corner))
+        report = validate_fcc(cplx, folding=bad)
+        assert not report.foldable and not report.is_fcc
+        assert len(calls) == 2
+
+    def test_folding_of_another_complex_is_verified(self, calls):
+        cplx, twin = torus_grid((4, 4)), torus_grid((4, 4))
+        assert validate_fcc(twin, folding=find_folding(cplx)).is_fcc
+        report = validate_fcc(torus_grid((4, 6)), folding=find_folding(cplx))
+        assert not report.foldable and not report.is_fcc
+        assert len(calls) == 4
+
+
 class TestFoldSimplicial:
     def test_octahedron_antipodal_coloring(self):
         colors = fold_simplicial(standard_sphere(2))
@@ -250,6 +316,36 @@ class TestFoldSimplicial:
         assert (None if isinstance(got, NotFoldable) else got) == \
             recursive_fold_simplicial(K)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(st.integers(0, n - 1), min_size=1,
+                                      max_size=4, unique=True),
+                             min_size=1, max_size=14))))
+    def test_colorings_match_the_min_scan(self, case):
+        # random complexes, kept homogeneous by filling each smaller
+        # simplex up to the top dimension with new vertices; unused ids
+        # are dropped
+        n, simplices = case
+        top = max(len(s) for s in simplices)
+        maximal, fresh = [], n
+        for s in simplices:
+            pad = tuple(range(fresh, fresh + top - len(s)))
+            fresh += len(pad)
+            maximal.append(tuple(s) + pad)
+        index = {v: i for i, v in enumerate(sorted(set().union(*maximal)))}
+        K = SimplicialComplex.from_maximal(
+            len(index), [tuple(index[v] for v in s) for s in maximal])
+        got = fold_simplicial(K)
+        assert (None if isinstance(got, NotFoldable) else got) == \
+            min_scan_fold_simplicial(K)
+
+    def test_long_cycle_is_not_quadratic(self):
+        # a min over the whole pool per vertex took 9 s at 8,000 vertices
+        n = 20000
+        K = SimplicialComplex.from_maximal(
+            n, [(i, (i + 1) % n) for i in range(n)])
+        assert fold_simplicial(K) == (1, 2) * (n // 2)
+
     def test_every_hemispherex_folds(self):
         for n, mult in [(1, (1, 1)), (1, (2, 2)), (2, (1, 1, 1)),
                         (2, (2, 1, 2)), (3, (1, 1, 1, 1))]:
@@ -298,6 +394,148 @@ def recursive_fold_simplicial(K):
     if solve():
         return tuple(colors[v] for v in range(K.vertex_count))
     return None
+
+
+def min_scan_fold_simplicial(K):
+    # The iterative search fold_simplicial must reproduce, picking each
+    # MRV vertex by a min over the whole pool.  None when no coloring
+    # exists.
+    colors = {}
+    domain = {v: set(range(1, K.dim + 2)) for v in range(K.vertex_count)}
+    pool = set(range(K.vertex_count))
+
+    def push():
+        v = min(pool, key=lambda x: (len(domain[x]), x))
+        pool.discard(v)
+        stack.append([v, sorted(domain[v]), 0, None])
+
+    stack = []
+    push()
+    while stack:
+        frame = stack[-1]
+        v, cands, i, removed = frame
+        if removed is not None:
+            del colors[v]
+            for w in removed:
+                domain[w].add(cands[i - 1])
+            frame[3] = None
+        if i == len(cands):
+            stack.pop()
+            pool.add(v)
+            continue
+        c = cands[i]
+        frame[2] = i + 1
+        frame[3] = removed = []
+        ok = True
+        colors[v] = c
+        for w in K.neighbors(v):
+            if w in colors:
+                if colors[w] == c:
+                    ok = False
+                    break
+            elif c in domain[w]:
+                domain[w].discard(c)
+                removed.append(w)
+                if not domain[w]:
+                    ok = False
+                    break
+        if ok:
+            if not pool:
+                return tuple(colors[v] for v in range(K.vertex_count))
+            push()
+    return None
+
+
+def recursive_search_directions(n, reps, conflicts, vectors):
+    # The recursive backtracking _search_directions must reproduce: MRV
+    # with lowest-id ties, lowest color first, every basis vector kept
+    # able to reach even multiplicities.
+    order_pool = set(reps)
+    domain = {r: set(range(1, n + 1)) for r in reps}
+    color = {}
+    vec_counts = [dict.fromkeys(range(1, n + 1), 0) for _ in vectors]
+    vec_left = [len(s) for s in vectors]
+    in_vecs = {r: [] for r in reps}
+    for vi, support in enumerate(vectors):
+        for r in support:
+            in_vecs[r].append(vi)
+
+    def vec_ok(vi):
+        odd = sum(1 for c in vec_counts[vi].values() if c % 2)
+        return odd <= vec_left[vi]
+
+    def solve():
+        if not order_pool:
+            return True
+        r = min(order_pool, key=lambda x: (len(domain[x]), x))
+        order_pool.discard(r)
+        for c in sorted(domain[r]):
+            color[r] = c
+            ok = True
+            for vi in in_vecs[r]:
+                vec_counts[vi][c] += 1
+                vec_left[vi] -= 1
+            removed = []
+            for vi in in_vecs[r]:
+                if not vec_ok(vi):
+                    ok = False
+                    break
+            if ok:
+                for nb in conflicts.get(r, ()):
+                    if nb in color or c not in domain[nb]:
+                        continue
+                    domain[nb].discard(c)
+                    removed.append(nb)
+                    if not domain[nb]:
+                        ok = False
+                        break
+            if ok and solve():
+                return True
+            for nb in removed:
+                domain[nb].add(c)
+            for vi in in_vecs[r]:
+                vec_counts[vi][c] -= 1
+                vec_left[vi] += 1
+            del color[r]
+        order_pool.add(r)
+        return False
+
+    if solve():
+        return dict(color)
+    return None
+
+
+@st.composite
+def direction_problems(draw):
+    # (n, reps, conflicts, vectors) in the shape find_folding hands over
+    n = draw(st.integers(1, 4))
+    reps = sorted(draw(st.sets(st.integers(0, 14), min_size=1, max_size=9)))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(reps),
+                                   st.sampled_from(reps))))
+    conflicts = {r: set() for r in reps}
+    for a, b in pairs:
+        if a != b:
+            conflicts[a].add(b)
+            conflicts[b].add(a)
+    vectors = [tuple(sorted(v)) for v in draw(st.lists(
+        st.sets(st.sampled_from(reps), min_size=1), max_size=4))]
+    return n, reps, conflicts, vectors
+
+
+class TestSearchDirections:
+    @settings(max_examples=300, deadline=None)
+    @given(direction_problems())
+    def test_matches_the_recursive_search(self, problem):
+        assert _search_directions(*problem) == \
+            recursive_search_directions(*problem)
+
+    def test_long_conflict_path_needs_no_recursion(self):
+        # one stack frame per class: a path of 5,000 classes, 2 colors
+        reps = list(range(5000))
+        conflicts = {r: {x for x in (r - 1, r + 1) if 0 <= x < 5000}
+                     for r in reps}
+        got = _search_directions(2, reps, conflicts, [])
+        assert [got[r] for r in reps] == [1, 2] * 2500
 
 
 def reference_odd_crossing_cycle(cplx, edge_set):

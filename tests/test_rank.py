@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from foldcc.core import CubicalComplex
 from foldcc.errors import NotDim3, NotFCC
 from foldcc.folding import coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
@@ -144,3 +146,38 @@ class TestWitnessSoundness:
                                   assume_fcc=True)
             T, S = report.bipartition
             assert verify_bipartition(entry.complex, entry.coloring, T, S)
+
+
+def _double_arc_X():
+    return davis_X(hemispherex(1, (1, 1), allow_dim1=True).complex).complex
+
+
+# small corpus complexes and their verdicts, from both sides of the
+# dichotomy in dimensions 1, 2 and 3
+RELABEL_BASES = [(cycle_graph(6), "rank-one"), (torus_grid((4, 4)), "split"),
+                 (_double_arc_X(), "rank-one"),
+                 (torus_grid((4, 4, 4)), "split")]
+
+
+def _relabel(cplx, perm):
+    cubes = [tuple(perm[v] for v in cplx.cubes[k][i])
+             for k, i in cplx.maximal_cubes()]
+    return CubicalComplex.from_maximal_cubes(cplx.vertex_count, cubes)
+
+
+class TestRelabelling:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(RELABEL_BASES).flatmap(lambda base: st.tuples(
+        st.just(base), st.permutations(range(base[0].vertex_count)))))
+    def test_verdict_and_witness_survive_relabelling(self, case):
+        (base, expect), perm = case
+        cplx = _relabel(base, perm)
+        detect = detect_rank3 if cplx.dim == 3 else detect_rank_general
+        report = detect(cplx)
+        assert report.verdict == expect
+        if expect == "rank-one":
+            assert rank_one_certificate(cplx, report.coloring,
+                                        report.witness_path)
+        else:
+            T, S = report.bipartition
+            assert verify_bipartition(cplx, report.coloring, T, S)
