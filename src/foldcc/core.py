@@ -259,33 +259,27 @@ class CubicalComplex:
         return cplx
 
     def _check_intersections(self):
-        # The intersection axiom for all cube pairs follows from the axiom
-        # on pairs of maximal cubes once the complex is face-closed and
-        # cubes are determined by their vertex sets, so only maximal pairs
-        # are examined.  Each pair is handled at the least common vertex.
-        maximal = [self.cubes[k][i] for k, i in self.maximal_cubes()]
-        vsets = [frozenset(cube) for cube in maximal]
-        at = [[] for _ in range(self.vertex_count)]
-        for j, cube in enumerate(maximal):
-            for v in cube:
-                at[v].append(j)
-        for v in range(self.vertex_count):
-            for a, b in itertools.combinations(at[v], 2):
-                inter = vsets[a] & vsets[b]
-                size = len(inter)
-                # a single shared vertex is a corner of both
-                if size == 1 or min(inter) != v:
-                    continue
-                # the corner positions of a face differ from v's in the
-                # same log2(size) bits
-                for cube in (maximal[a], maximal[b]):
-                    p0 = cube.index(v)
-                    free = 0
-                    for w in inter:
-                        free |= cube.index(w) ^ p0
-                    if size != 1 << free.bit_count():
+        """Raise NotAComplex unless any two cubes meet in a common face.
+
+        The complex is face-closed and each vertex set carries one cube,
+        so this holds iff no two distinct cubes of dimension >= 1 share a
+        diagonal (corners p and 2^k-1 ^ p).  (=>) A & B then holds two
+        opposite corners of each, so as a face of both it is A = B.  (<=)
+        For u, w in A & B, A's face with diagonal {u, w} is B's, so A & B
+        holds it; adding the bits in which such pairs differ one at a time
+        shows that A & B is a face of A, and of B.  Edges count too.  The
+        test is one dict over the sum of n_k * 2^(k-1) diagonals.
+        """
+        n, seen = self.vertex_count, {}
+        for k in range(1, len(self.cubes)):
+            half = 1 << (k - 1)
+            for cube in self.cubes[k]:
+                for u, w in zip(cube[:half], cube[:half - 1:-1]):
+                    other = seen.setdefault(u * n + w if u < w else w * n + u,
+                                            cube)
+                    if other is not cube:
                         raise NotAComplex("cube intersection is not a face",
-                                          detail=(maximal[a], maximal[b]))
+                                          detail=(other, cube))
 
     # -- basic queries -------------------------------------------------------
 
@@ -374,13 +368,18 @@ class CubicalComplex:
 
     def axis_edges(self, k):
         """Edge index of each axis at corner 0 of every k-cube, flat: entry
-        k*i + ax is edge_index(cube[0], cube[1 << ax]) of cube (k, i)."""
+        k*i + ax is edge_index(cube[0], cube[1 << ax]) of cube (k, i), read
+        off the side-0 faces along axes 0 and 1, which keep corner 0 and
+        the order of the other axes."""
         table = self._axes.get(k)
-        if table is None:
-            eidx = self.edge_index
-            table = self._axes[k] = [eidx(cube[0], cube[1 << ax])
-                                     for cube in self.cubes[k]
-                                     for ax in range(k)]
+        if table is None and k == 1:
+            table = self._axes[1] = list(range(self.n_cubes(1)))
+        elif table is None:
+            below, faces, j = self.axis_edges(k - 1), self._faces[k], k - 1
+            table = self._axes[k] = []
+            for i in range(0, len(faces), 2 * k):
+                f0, f1 = j * faces[i], j * faces[i + 2]
+                table += [below[f1]] + below[f0:f0 + j]
         return table
 
     def link_adj(self, v):
@@ -838,6 +837,10 @@ def render_report(header, pairs):
 # exhaust memory; X(H) with m = (2, 2, 2) (131,072 cubes) stays far below.
 MAX_VERTICES = 1 << 20
 
+# Largest `simplex K` a file may hold: loading lists all 2^(K+1) faces, so
+# a short line would exhaust memory.  davis_X takes 16 generators by default.
+MAX_SIMPLEX_DIM = 16
+
 
 def _parse_cell_file(text, kind, cell_word):
     lineno = 0
@@ -931,6 +934,9 @@ def load_simplicial(text):
         if len(verts) != k + 1:
             raise ParseError("simplex of dimension %d needs %d vertices, got %d"
                              % (k, k + 1, len(verts)))
+        if k > MAX_SIMPLEX_DIM:
+            raise ParseError("simplex of dimension %d is above %d"
+                             % (k, MAX_SIMPLEX_DIM))
         maximal.append(tuple(verts))
     K = SimplicialComplex.from_maximal(vertex_count, maximal)
     K.provenance = provenance

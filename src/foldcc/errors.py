@@ -12,8 +12,8 @@ class ParseError(FoldccError):
 class NotAComplex(FoldccError):
     """The input violates the cubical complex axioms.
 
-    Carries ``detail``: either a pair of offending cubes (intersection
-    axiom / identity failure) or a single cube (repeated corners).
+    Carries ``detail``: a pair of offending cubes (two distinct cubes on
+    one diagonal or one vertex set) or a single cube (repeated corners).
     """
 
     def __init__(self, message, detail=None):

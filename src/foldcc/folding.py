@@ -41,11 +41,10 @@ def parallel_classes(cplx):
     """Disjoint-set closure of "opposite in a square" over the edges."""
     n_edges = cplx.n_cubes(1)
     ds = DisjointSet(n_edges)
-    if cplx.dim >= 2:
-        eidx = cplx.edge_index
-        for c0, c1, c2, c3 in cplx.cubes[2]:
-            ds.union(eidx(c0, c1), eidx(c2, c3))
-            ds.union(eidx(c0, c2), eidx(c1, c3))
+    # a square's faces come in opposite pairs, side 0 then side 1
+    faces = cplx._faces[2] if cplx.dim >= 2 else ()
+    for j in range(0, len(faces), 2):
+        ds.union(faces[j], faces[j + 1])
     class_of = [0] * n_edges
     groups = ds.groups()
     for cid, members in enumerate(groups):
@@ -461,24 +460,19 @@ def verify_folding(cplx, folding):
     if folding.complex is not cplx and folding.complex != cplx:
         return False
     vc = folding.vertex_corner
+    bit_of = [1 << (folding.direction_of[c] - 1)
+              for c in folding.classes.class_of]
     for k in range(1, cplx.dim + 1):
         table = cplx.axis_edges(k)
         for i, cube in enumerate(cplx.cubes[k]):
-            bits = []
-            for e in table[k * i:k * i + k]:
-                if e is None:
-                    return False
-                bits.append(1 << (folding.direction_of[folding.classes.class_of[e]] - 1))
+            bits = [bit_of[e] for e in table[k * i:k * i + k]]
             if len(set(bits)) != k:
                 return False
-            base = vc[cube[0]]
-            for b in range(1 << k):
-                want = base
-                for ax in range(k):
-                    if (b >> ax) & 1:
-                        want ^= bits[ax]
-                if vc[cube[b]] != want:
-                    return False
+            want = [vc[cube[0]]]   # corner b: corner 0 moved along b's axes
+            for bit in bits:
+                want += [x ^ bit for x in want]
+            if [vc[v] for v in cube] != want:
+                return False
     return True
 
 

@@ -141,6 +141,23 @@ class TestValidate:
         assert err == "error: line 2: more than 1048576 vertices\n"
         assert peak < 1 << 20
 
+    def test_huge_simplex_exits_64_before_building_faces(self, tmp_path,
+                                                        capsys):
+        # all 2^41 faces of one simplex 40 line would never fit in memory
+        f = tmp_path / "huge.scx"
+        f.write_text("simplicial-complex v1\nvertices 41\nsimplex 40 %s\n"
+                     % " ".join(map(str, range(41))))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "generate", "davisX:K=%s" % f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 64
+        assert_refusal(out, err)
+        assert err == "error: simplex of dimension 40 is above 16\n"
+        assert peak < 1 << 20
+
 
 class TestRankVerifiesOnce:
     def test_rank_calls_verify_folding_once(self, tmp_path, capsys,

@@ -63,6 +63,10 @@ def assert_incidence(cplx):
         assert [cplx.faces(k, i) for i in range(len(level))] == faces[k]
         assert [cplx.cofaces(k, i) for i in range(len(level))] == cofaces[k]
     assert cplx.maximal_cubes() == maximal
+    for k in range(1, len(cplx.cubes)):
+        assert cplx.axis_edges(k) == [cplx.edge_index(cube[0], cube[1 << ax])
+                                      for cube in cplx.cubes[k]
+                                      for ax in range(k)]
 
 
 def empty_triangle_complex():
@@ -384,6 +388,124 @@ class TestFlagFromFaceTable:
             (False, (0, (1, 2, 3)))
 
 
+def reference_intersections_ok(cplx):
+    """The pairwise scan the diagonal test replaced: every two maximal
+    cubes that share a vertex meet in a face of both, each pair examined
+    at its least common vertex.  The corner positions of a face of size s
+    differ from those of that vertex in log2(s) bits."""
+    maximal = [cplx.cubes[k][i] for k, i in cplx.maximal_cubes()]
+    vsets = [frozenset(cube) for cube in maximal]
+    at = [[] for _ in range(cplx.vertex_count)]
+    for j, cube in enumerate(maximal):
+        for v in cube:
+            at[v].append(j)
+    for v in range(cplx.vertex_count):
+        for a, b in itertools.combinations(at[v], 2):
+            inter = vsets[a] & vsets[b]
+            if min(inter) != v:
+                continue
+            for cube in (maximal[a], maximal[b]):
+                free = 0
+                for w in inter:
+                    free |= cube.index(w) ^ cube.index(v)
+                if len(inter) != 1 << free.bit_count():
+                    return False
+    return True
+
+
+def agrees_with_reference(n, cubes):
+    """The diagonal test rejects the closure of `cubes` iff the pairwise
+    scan does; a soup whose closure fails for another reason is skipped.
+    Returns whether the soup broke the axiom."""
+    try:
+        cplx = CubicalComplex.from_maximal_cubes(n, cubes,
+                                                 check_intersections=False)
+    except NotAComplex:
+        return None
+    expect = reference_intersections_ok(cplx)
+    try:
+        cplx._check_intersections()
+    except NotAComplex as exc:
+        assert str(exc) == "cube intersection is not a face"
+        assert not expect
+        return True
+    assert expect
+    return False
+
+
+@st.composite
+def cube_soups(draw):
+    """A few cubes of dimension <= 3 on at most 14 vertices, in any corner
+    order: most of them overlap."""
+    n = draw(st.integers(2, 14))
+    cubes = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, min(3, n.bit_length() - 1)))
+        cubes.append(tuple(draw(st.lists(st.integers(0, n - 1), unique=True,
+                                         min_size=1 << k, max_size=1 << k))))
+    return n, cubes
+
+
+@st.composite
+def glued_complexes(draw):
+    """A base complex plus one cube on corners of a top cube, their
+    neighbours and new vertices."""
+    base = draw(st.sampled_from(FLAG_BASES[:5]))
+    cubes = [base.cubes[k][i] for k, i in base.maximal_cubes()]
+    top = draw(st.sampled_from(cubes))
+    near = sorted({w for v in top for w in base.neighbors(v)})
+    pool = near + list(range(base.vertex_count, base.vertex_count + 8))
+    k = draw(st.integers(1, 3))
+    extra = draw(st.lists(st.sampled_from(pool), unique=True,
+                          min_size=1 << k, max_size=1 << k))
+    return base.vertex_count + 8, cubes + [tuple(extra)]
+
+
+class TestIntersectionAxiom:
+    @settings(max_examples=400, deadline=None)
+    @given(cube_soups())
+    def test_soups_match_the_pairwise_scan(self, soup):
+        agrees_with_reference(*soup)
+
+    @settings(max_examples=100, deadline=None)
+    @given(glued_complexes())
+    def test_glued_corpus_complexes_match_the_pairwise_scan(self, soup):
+        agrees_with_reference(*soup)
+
+    def test_soups_hit_both_outcomes(self):
+        rng = random.Random(7)
+        seen = set()
+        for _ in range(300):
+            n = rng.randint(4, 14)
+            cubes = [tuple(rng.sample(range(n), 1 << rng.randint(1, 2)))
+                     for _ in range(rng.randint(1, 4))]
+            seen.add(agrees_with_reference(n, cubes))
+        assert {True, False} <= seen
+
+    def test_corpus_passes(self):
+        for base in FLAG_BASES:
+            assert reference_intersections_ok(base)
+            base._check_intersections()
+
+    def test_edge_on_a_square_diagonal(self):
+        with pytest.raises(NotAComplex) as err:
+            CubicalComplex.from_maximal_cubes(4, [(0, 1, 2, 3), (3, 0)])
+        assert str(err.value) == "cube intersection is not a face"
+        assert err.value.detail == ((0, 3), (0, 1, 2, 3))
+
+    def test_squares_sharing_only_opposite_corners(self):
+        cubes = [(0, 1, 2, 3), (0, 4, 5, 3)]
+        assert not reference_intersections_ok(CubicalComplex.from_maximal_cubes(
+            6, cubes, check_intersections=False))
+        with pytest.raises(NotAComplex) as err:
+            CubicalComplex.from_maximal_cubes(6, cubes)
+        assert err.value.detail == ((0, 1, 2, 3), (0, 4, 5, 3))
+
+    def test_squares_sharing_adjacent_corners_pass(self):
+        # an edge is a face of both, the diagonals differ
+        CubicalComplex.from_maximal_cubes(6, [(0, 1, 2, 3), (0, 1, 4, 5)])
+
+
 class TestLinkConsequences:
     # links of an FCC of dimension n are homogeneous of dimension n-1,
     # have no boundary and are flag
@@ -423,6 +545,14 @@ class TestComponents:
 
 
 class TestSimplicial:
+    def test_simplex_dimension_is_capped(self):
+        def text(k):
+            return ("simplicial-complex v1\nvertices 20\nsimplex %d %s\n"
+                    % (k, " ".join(map(str, range(k + 1)))))
+        assert load_simplicial(text(core.MAX_SIMPLEX_DIM)).dim == 16
+        with pytest.raises(ParseError):
+            load_simplicial(text(core.MAX_SIMPLEX_DIM + 1))
+
     def test_round_trip(self):
         K = standard_sphere(2)
         text = serialize_simplicial(K)
