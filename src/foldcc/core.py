@@ -49,6 +49,16 @@ def _corner_picker(p0, axes):
     return operator.itemgetter(*order)
 
 
+def canonical_frame(corners):
+    """(p0, axes) of a k-cube corner tuple, k >= 1: canonical position q
+    holds input position p0 ^ (sum of 1 << axes[t] over the bits t of q),
+    so the canonical face along axis t, side s, is the input face along
+    axis axes[t], side s ^ (p0 >> axes[t] & 1)."""
+    k = (len(corners) - 1).bit_length()
+    p0 = corners.index(min(corners))
+    return p0, tuple(sorted(range(k), key=lambda j: corners[p0 ^ (1 << j)]))
+
+
 def canonical_cube(corners):
     """Canonical corner order of a cube given as a corner tuple."""
     k = (len(corners) - 1).bit_length()
@@ -56,9 +66,7 @@ def canonical_cube(corners):
         raise NotAComplex("corner count %d is not a power of two" % len(corners))
     if k == 0:
         return tuple(corners)
-    p0 = corners.index(min(corners))
-    axes = sorted(range(k), key=lambda j: corners[p0 ^ (1 << j)])
-    return _corner_picker(p0, tuple(axes))(corners)
+    return _corner_picker(*canonical_frame(corners))(corners)
 
 
 @lru_cache(maxsize=None)
@@ -69,12 +77,6 @@ def _face_pickers(k):
                 *[b for b in range(1 << k) if (b >> axis) & 1 == side])
             if k > 1 else operator.itemgetter(slice(side, side + 1))
             for axis in range(k) for side in (0, 1)]
-
-
-def cube_face(corners, axis, side):
-    """Codimension-1 face of a cube tuple: fix coordinate `axis` to `side`."""
-    k = (len(corners) - 1).bit_length()
-    return _face_pickers(k)[2 * axis + side](corners)
 
 
 def _face_closure(vertex_count, maximal):
@@ -222,7 +224,8 @@ class CubicalComplex:
 
     def __init__(self, vertex_count, cubes_by_dim, by_vset, face_table,
                  provenance=None):
-        # internal: use from_maximal_cubes
+        # internal: use from_maximal_cubes, or reindex a complex's tables
+        # (restrict_complex, decomposition.hyperplanes)
         self.vertex_count = vertex_count
         self.cubes = cubes_by_dim  # tuple over dims of tuples of corner tuples
         self.provenance = provenance
@@ -245,8 +248,7 @@ class CubicalComplex:
                            provenance=None):
         """Build the face closure of the given cubes.
 
-        The cubes need not be maximal: pieces of a checked complex pass
-        their whole face-closed cube set with `check_intersections` off.
+        The cubes need not be maximal.
         Raises NotAComplex on repeated corners, on two cubes sharing a full
         vertex set with different combinatorial structure, or (when
         `check_intersections` is set) on a pair of cubes whose vertex sets
@@ -454,14 +456,34 @@ def restrict_complex(parent, cube_refs):
     """Induced complex on a face-closed set of parent cubes.
 
     `cube_refs` is an iterable of (dim, index) pairs; it must be closed
-    under faces and include the 0-cubes of every listed cube.
+    under faces and include the 0-cubes of every listed cube, or
+    NotAComplex names a missing face.  The vertices are renumbered in
+    increasing order, which keeps canonical cubes canonical and levels
+    sorted: each level is the listed parent cubes in parent order, each
+    face entry the parent's, renumbered; nothing is closed again.
     """
-    verts = sorted({v for k, i in cube_refs for v in parent.cubes[k][i]})
-    vmap = {v: j for j, v in enumerate(verts)}
-    cplx = CubicalComplex.from_maximal_cubes(
-        len(verts), [tuple(vmap[v] for v in parent.cubes[k][i])
-                     for k, i in cube_refs], check_intersections=False)
-    return ComponentPiece(cplx, tuple(verts), vmap)
+    chosen = [set() for _ in parent.cubes]
+    for k, i in cube_refs:
+        chosen[k].add(i)
+    while len(chosen) > 1 and not chosen[-1]:
+        chosen.pop()
+    cubes, face_table, by_vset, index = [], [[]], {}, []
+    for k, refs in enumerate(map(sorted, chosen)):
+        if k:   # faces first: once they are all listed, so are the corners
+            row, below, w = parent._faces[k], index[k - 1], 2 * k
+            try:
+                face_table.append([below[f] for i in refs
+                                   for f in row[w * i:w * i + w]])
+            except KeyError as exc:
+                face = parent.cubes[k - 1][exc.args[0]]
+                raise NotAComplex("cube set misses the face %r" % (face,),
+                                  detail=(face,)) from None
+        index.append(dict(zip(refs, range(len(refs)))))
+        cubes.append(tuple(tuple(index[0][v] for v in parent.cubes[k][i])
+                           for i in refs))
+        by_vset.update((frozenset(c), (k, j)) for j, c in enumerate(cubes[k]))
+    cplx = CubicalComplex(len(index[0]), tuple(cubes), by_vset, face_table)
+    return ComponentPiece(cplx, tuple(index[0]), index[0])
 
 
 def components(cplx):

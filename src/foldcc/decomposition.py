@@ -16,11 +16,12 @@ holds the endpoints with parity b), so loops and multi-edges in the base
 graph are kept apart.
 """
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .core import (ComponentPiece, CubicalComplex, DisjointSet, cube_face,
-                   restrict_complex, spanning_forest_labels)
+from .core import (ComponentPiece, CubicalComplex, DisjointSet,
+                   _corner_picker, canonical_frame, restrict_complex,
+                   spanning_forest_labels)
 from .errors import BadColorSet, NotFCC
 
 
@@ -72,61 +73,77 @@ class HyperplaneComponent:
     carrier: dict              # (k, idx) in component -> (k+1, parent idx)
 
 
-def _midcube_refs(cplx, coloring, color):
-    # (parent ref, axis, midcube corner tuple of parent edge indices)
-    out = []
-    for k in range(1, cplx.dim + 1):
-        table = cplx.axis_edges(k)
-        for i, cube in enumerate(cplx.cubes[k]):
-            axis = _color_axis(coloring, table[k * i:k * i + k], color)
-            if axis is None:
-                continue
-            corners = []
-            rest = [ax for ax in range(k) if ax != axis]
-            for b in range(1 << (k - 1)):
-                p = 0
-                for j, ax in enumerate(rest):
-                    if (b >> j) & 1:
-                        p |= 1 << ax
-                corners.append(cplx.edge_index(cube[p], cube[p | (1 << axis)]))
-            out.append(((k, i), axis, tuple(corners)))
-    return out
+@lru_cache(maxsize=None)
+def _midcube_face_offsets(k, axis, p0, axes):
+    # carrier face-row entries of its midcube's faces, in frame (p0, axes)
+    rest = [a for a in range(k) if a != axis]
+    return [2 * rest[a] + (side ^ (p0 >> a & 1))
+            for a in axes for side in (0, 1)]
 
 
 def hyperplanes(cplx, coloring, color):
-    """Components of the hyperplane complex H_color."""
+    """Components of the hyperplane complex H_color.
+
+    A midcube's corners are its carrier's color edges; it is put in
+    canonical order once, by its frame (p0, axes) (`canonical_frame`).
+    Its face along canonical axis t, side s, is the midcube of the
+    carrier's face along carrier axis rest[axes[t]], side
+    s ^ (p0 >> axes[t] & 1), where rest lists the carrier's axes without
+    the color axis; so the face table is read off the parent's.  A
+    component numbers its edges in increasing order, which keeps every
+    canonical order canonical and every sorted level sorted.
+    """
     if not 1 <= color <= coloring.n:
         raise BadColorSet("color %d outside 1..%d" % (color, coloring.n))
-    mids = _midcube_refs(cplx, coloring, color)
+    n = cplx.vertex_count
+    colored, edge_at = coloring.edges_of_color(color), {}
+    for e in colored:
+        u, w = cplx.cubes[1][e]
+        edge_at[u * n + w] = edge_at[w * n + u] = e
+    # per midcube dimension: (canonical corners, carrier index, face offsets)
+    mids = [[((e,), e, ()) for e in colored]]
+    for k in range(2, cplx.dim + 1):
+        mids.append([])
+        for i, axis in enumerate(_color_axes(cplx, coloring, color, k)):
+            if axis >= 0:
+                cube, bit = cplx.cubes[k][i], 1 << axis
+                corners = tuple(edge_at[cube[p] * n + cube[p | bit]]
+                                for p in range(1 << k) if not p & bit)
+                frame = canonical_frame(corners)
+                mids[k - 1].append((_corner_picker(*frame)(corners), i,
+                                    _midcube_face_offsets(k, axis, *frame)))
     ds = DisjointSet(cplx.n_cubes(1))
-    for ref, axis, corners in mids:
-        if len(corners) == 2:
-            ds.union(*corners)
-    groups = ds.groups(sorted(coloring.edges_of_color(color)))
-    comp_of = {}
-    for ci, verts in enumerate(groups):
-        for e in verts:
-            comp_of[e] = ci
-    comp_mids = [[] for _ in groups]
-    for ref, axis, corners in mids:
-        comp_mids[comp_of[corners[0]]].append((ref, corners))
+    for corners, _, _ in mids[1] if len(mids) > 1 else ():
+        ds.union(*corners)
+    comps = {}    # least edge -> midcubes by dimension
+    for d, level in enumerate(mids):
+        for mid in level:
+            comps.setdefault(ds.find(mid[0][0]),
+                             [[] for _ in mids])[d].append(mid)
     out = []
-    for ci, verts in enumerate(groups):
-        local = {e: j for j, e in enumerate(verts)}
-        carrier_by_vset = {}
-        for ref, corners in comp_mids[ci]:
-            carrier_by_vset[frozenset(local[e] for e in corners)] = ref
-        # the midcubes of one component are closed under faces
-        cx = CubicalComplex.from_maximal_cubes(
-            len(verts), [tuple(local[e] for e in corners)
-                         for _, corners in comp_mids[ci]],
-            check_intersections=False)
-        carrier = {}
-        for k in range(1, cx.dim + 1):
-            for i, cube in enumerate(cx.cubes[k]):
-                carrier[(k, i)] = carrier_by_vset[frozenset(cube)]
-        for i in range(cx.n_cubes(0)):
-            carrier[(0, i)] = (1, verts[i])
+    for root in sorted(comps):
+        levels = comps[root]
+        while not levels[-1]:
+            levels.pop()
+        verts = [e for (e,), _, _ in levels[0]]
+        below = local = dict(zip(verts, range(len(verts))))
+        cubes, face_table, by_vset, carrier = [], [[]], {}, {}
+        for d, level in enumerate(levels):
+            level.sort()
+            cubes.append(tuple(tuple(local[e] for e in corners)
+                               for corners, _, _ in level))
+            by_vset.update((frozenset(c), (d, j))
+                           for j, c in enumerate(cubes[d]))
+            if d:
+                row, w = cplx._faces[d + 1], 2 * d + 2
+                face_table.append([below[row[w * i + o]]
+                                   for _, i, offsets in level
+                                   for o in offsets])
+                carrier.update(((d, j), (d + 1, i))
+                               for j, (_, i, _) in enumerate(level))
+                below = {i: j for j, (_, i, _) in enumerate(level)}
+        carrier.update(((0, j), (1, e)) for j, e in enumerate(verts))
+        cx = CubicalComplex(len(verts), tuple(cubes), by_vset, face_table)
         out.append(HyperplaneComponent(color, cx, tuple(verts), carrier))
     return out
 
@@ -246,6 +263,8 @@ def graph_of_spaces(cplx, coloring, color):
     edge_spaces = hyperplanes(cplx, coloring, color)
     parity = direction_parity(cplx, coloring, color)
 
+    axis_of = {k: _color_axes(cplx, coloring, color, k)
+               for k in range(2, cplx.dim + 1)}
     base_edges = []
     attaching = []
     for h in edge_spaces:
@@ -262,19 +281,16 @@ def graph_of_spaces(cplx, coloring, color):
             piece = vertex_spaces[bi]
             local_vmap = tuple(piece.vertex_index[v] for v in vmap)
             cube_map = {}
-            for (k, j), (pk, pi) in h.carrier.items():
+            for (k, j), (_, i) in h.carrier.items():
                 if k == 0:
                     cube_map[(k, j)] = (0, local_vmap[j])
                     continue
-                pcube = cplx.cubes[pk][pi]
-                axis = _color_axis(
-                    coloring, cplx.axis_edges(pk)[pk * pi:pk * pi + pk], color)
-                if axis is None:
-                    raise NotFCC("carrier cube lost its color-%d axis" % color)
-                local_side = 0 if parity[pcube[0]] == b else 1
-                face = cube_face(pcube, axis, local_side)
-                local_face = tuple(piece.vertex_index[v] for v in face)
-                cube_map[(k, j)] = piece.complex.cube_index(local_face)
+                # side b: the color-axis face on side b ^ parity(corner 0)
+                side = parity[cplx.cubes[k + 1][i][0]] ^ b
+                face = cplx.cubes[k][cplx._faces[k + 1][
+                    2 * (k + 1) * i + 2 * axis_of[k + 1][i] + side]]
+                cube_map[(k, j)] = piece.complex.cube_index(
+                    [piece.vertex_index[v] for v in face])
             sides.append((bi, AttachingMap(b, h, piece, local_vmap, cube_map)))
         base_edges.append((sides[0][0], sides[1][0]))
         attaching.append((sides[0][1], sides[1][1]))
@@ -282,12 +298,13 @@ def graph_of_spaces(cplx, coloring, color):
                          tuple(base_edges), attaching)
 
 
-def _color_axis(coloring, axis_edges, color):
-    # first axis of a cube, given its axis edges, with an edge of `color`
-    for ax, e in enumerate(axis_edges):
-        if coloring.of_edge(e) == color:
-            return ax
-    return None
+def _color_axes(cplx, coloring, color, k):
+    # per k-cube: its first axis whose edges have `color`, or -1
+    colors, table = coloring.colors, cplx.axis_edges(k)
+    out = [-1] * cplx.n_cubes(k)
+    for j in reversed([j for j, e in enumerate(table) if colors[e] == color]):
+        out[j // k] = j % k
+    return out
 
 
 def count_identity_holds(cplx, coloring, color):

@@ -93,21 +93,18 @@ class RankReport:
         return render_report("rank-report v1", self.to_kv())
 
 
-def _cross_pair_obstructions(cplx, coloring):
-    # color pairs {i, j} with some non-square cross pair of directions,
-    # plus the first strictly-beyond-pi cross pair in scan order
+def _cross_pairs(cplx, coloring):
+    # the splitting bipartitions, and the first strictly-beyond-pi cross
+    # pair of directions in scan order, from one scan of the cross pairs
     obstructed = set()
     first_strict = None
     for v in range(cplx.vertex_count):
         nbrs = cplx.neighbors(v)
         ladj = cplx.link_adj(v)
-        for ai in range(len(nbrs)):
-            a = nbrs[ai]
-            ca = coloring.of_pair(v, a)
+        colors = [coloring.of_pair(v, a) for a in nbrs]
+        for ai, (a, ca) in enumerate(zip(nbrs, colors)):
             adj_a = ladj.get(a, set())
-            for bi in range(ai + 1, len(nbrs)):
-                b = nbrs[bi]
-                cb = coloring.of_pair(v, b)
+            for b, cb in zip(nbrs[ai + 1:], colors[ai + 1:]):
                 if ca == cb or b in adj_a:
                     continue
                 obstructed.add((min(ca, cb), max(ca, cb)))
@@ -115,17 +112,9 @@ def _cross_pair_obstructions(cplx, coloring):
                     adj_b = ladj.get(b, set())
                     if not (adj_a and adj_b and adj_a & adj_b):
                         first_strict = (v, a, b)
-    return obstructed, first_strict
-
-
-def splitting_bipartitions(cplx, coloring):
-    """All color bipartitions (T, S) whose cross pairs of directions span
-    squares at every vertex; each certifies a product universal cover."""
-    n = coloring.n
-    obstructed, _ = _cross_pair_obstructions(cplx, coloring)
     out = []
-    full = set(range(1, n + 1))
-    for r in range(1, n):
+    full = set(range(1, coloring.n + 1))
+    for r in range(1, coloring.n):
         for rest in itertools.combinations(sorted(full - {1}), r - 1):
             T = {1, *rest}
             S = full - T
@@ -135,7 +124,13 @@ def splitting_bipartitions(cplx, coloring):
                    for i in T for j in S):
                 continue
             out.append((tuple(sorted(T)), tuple(sorted(S))))
-    return out
+    return out, first_strict
+
+
+def splitting_bipartitions(cplx, coloring):
+    """All color bipartitions (T, S) whose cross pairs of directions span
+    squares at every vertex; each certifies a product universal cover."""
+    return _cross_pairs(cplx, coloring)[0]
 
 
 def verify_bipartition(cplx, coloring, T, S):
@@ -276,11 +271,10 @@ def detect_rank3(cplx, folding=None, assume_fcc=False, diagnostics=False):
 
 def _detect(cplx, folding, coloring, complete, length_cap=None):
     n = coloring.n
-    bips = splitting_bipartitions(cplx, coloring)
+    bips, strict = _cross_pairs(cplx, coloring)
     if bips:
         return RankReport("split", cplx.dim, folding, coloring,
                           bipartition=bips[0], all_bipartitions=tuple(bips))
-    _, strict = _cross_pair_obstructions(cplx, coloring)
     if strict is not None:
         v, a, b = strict
         path = geo.build_strict_pi_geodesic(cplx, coloring, v, a, b)

@@ -8,7 +8,9 @@ link 1-skeleton, and cell counts are recomputed from first principles.
 import itertools
 from collections import deque
 
-from foldcc.core import link
+from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
+                         canonical_cube, link)
+from foldcc.decomposition import HyperplaneComponent
 
 
 def brute_force_nonspanning_clique(K):
@@ -65,3 +67,134 @@ def davis_face_count(K, k):
 def all_corpus_edges(cplx):
     for e in range(cplx.n_cubes(1)):
         yield cplx.cubes[1][e]
+
+
+def cube_face(corners, axis, side):
+    """Codimension-1 face of a cube tuple: fix coordinate `axis` to `side`."""
+    return tuple(c for b, c in enumerate(corners) if (b >> axis) & 1 == side)
+
+
+def recomputed_incidence(cplx):
+    """faces, cofaces (per dim, per index) and maximal cubes, recomputed
+    from cube_face + canonical_cube."""
+    index = [{c: i for i, c in enumerate(level)} for level in cplx.cubes]
+    faces = [[] for _ in cplx.cubes]
+    cofaces = [[[] for _ in level] for level in cplx.cubes]
+    for k, level in enumerate(cplx.cubes):
+        for i, cube in enumerate(level):
+            refs = [(k - 1, index[k - 1][canonical_cube(cube_face(cube, a, s))])
+                    for a in range(k) for s in (0, 1)]
+            faces[k].append(refs)
+            for fk, fi in refs:
+                cofaces[fk][fi].append((k, i))
+    maximal = [(k, i) for k, level in enumerate(cofaces)
+               for i, cof in enumerate(level) if not cof]
+    return faces, cofaces, maximal
+
+
+def assert_incidence(cplx):
+    faces, cofaces, maximal = recomputed_incidence(cplx)
+    for k, level in enumerate(cplx.cubes):
+        assert [cplx.faces(k, i) for i in range(len(level))] == faces[k]
+        assert [cplx.cofaces(k, i) for i in range(len(level))] == cofaces[k]
+    assert cplx.maximal_cubes() == maximal
+    for k in range(1, len(cplx.cubes)):
+        assert cplx.axis_edges(k) == [cplx.edge_index(cube[0], cube[1 << ax])
+                                      for cube in cplx.cubes[k]
+                                      for ax in range(k)]
+
+
+def relabelled(cplx, rng):
+    """The complex with its vertices permuted by `rng`, rebuilt from its
+    maximal cubes."""
+    perm = list(range(cplx.vertex_count))
+    rng.shuffle(perm)
+    return CubicalComplex.from_maximal_cubes(
+        cplx.vertex_count, [tuple(perm[v] for v in cplx.cubes[k][i])
+                            for k, i in cplx.maximal_cubes()])
+
+
+def assert_same_complex(got, want):
+    """Equal cubes, face tables and vertex-set maps."""
+    assert got.vertex_count == want.vertex_count
+    assert got.cubes == want.cubes
+    assert got._faces == want._faces
+    assert got._by_vset == want._by_vset
+
+
+# The decomposition as it was built before pieces and hyperplane components
+# reindexed the parent's face table: every derived complex went through
+# CubicalComplex.from_maximal_cubes (canonicalization and face closure).
+
+def reference_restrict(parent, cube_refs):
+    verts = sorted({v for k, i in cube_refs for v in parent.cubes[k][i]})
+    vmap = {v: j for j, v in enumerate(verts)}
+    cplx = CubicalComplex.from_maximal_cubes(
+        len(verts), [tuple(vmap[v] for v in parent.cubes[k][i])
+                     for k, i in cube_refs], check_intersections=False)
+    return ComponentPiece(cplx, tuple(verts), vmap)
+
+
+def reference_color_axis(cplx, coloring, k, i, color):
+    for ax in range(k):
+        cube = cplx.cubes[k][i]
+        if coloring.of_pair(cube[0], cube[1 << ax]) == color:
+            return ax
+    return None
+
+
+def reference_hyperplanes(cplx, coloring, color):
+    mids = []   # (parent ref, midcube corner tuple of parent edge indices)
+    for k in range(1, cplx.dim + 1):
+        for i, cube in enumerate(cplx.cubes[k]):
+            axis = reference_color_axis(cplx, coloring, k, i, color)
+            if axis is None:
+                continue
+            rest = [ax for ax in range(k) if ax != axis]
+            corners = []
+            for b in range(1 << (k - 1)):
+                p = sum(1 << ax for j, ax in enumerate(rest) if (b >> j) & 1)
+                corners.append(cplx.edge_index(cube[p], cube[p | (1 << axis)]))
+            mids.append(((k, i), tuple(corners)))
+    ds = DisjointSet(cplx.n_cubes(1))
+    for ref, corners in mids:
+        if len(corners) == 2:
+            ds.union(*corners)
+    groups = ds.groups(sorted(coloring.edges_of_color(color)))
+    comp_of = {e: ci for ci, verts in enumerate(groups) for e in verts}
+    comp_mids = [[] for _ in groups]
+    for ref, corners in mids:
+        comp_mids[comp_of[corners[0]]].append((ref, corners))
+    out = []
+    for verts, own in zip(groups, comp_mids):
+        local = {e: j for j, e in enumerate(verts)}
+        carrier_by_vset = {frozenset(local[e] for e in corners): ref
+                           for ref, corners in own}
+        cx = CubicalComplex.from_maximal_cubes(
+            len(verts), [tuple(local[e] for e in corners)
+                         for _, corners in own], check_intersections=False)
+        carrier = {}
+        for k in range(1, cx.dim + 1):
+            for i, cube in enumerate(cx.cubes[k]):
+                carrier[(k, i)] = carrier_by_vset[frozenset(cube)]
+        for i in range(cx.n_cubes(0)):
+            carrier[(0, i)] = (1, verts[i])
+        out.append(HyperplaneComponent(color, cx, tuple(verts), carrier))
+    return out
+
+
+def reference_cube_map(cplx, coloring, color, parity, h, b, piece):
+    """The side-b cube map of edge space h into the vertex space `piece`."""
+    cube_map = {}
+    for (k, j), (pk, pi) in h.carrier.items():
+        if k == 0:
+            u1, u2 = cplx.cubes[1][h.edge_of_vertex[j]]
+            cube_map[(k, j)] = (0, piece.vertex_index[
+                u1 if parity[u1] == b else u2])
+            continue
+        pcube = cplx.cubes[pk][pi]
+        axis = reference_color_axis(cplx, coloring, pk, pi, color)
+        face = cube_face(pcube, axis, 0 if parity[pcube[0]] == b else 1)
+        cube_map[(k, j)] = piece.complex.cube_index(
+            tuple(piece.vertex_index[v] for v in face))
+    return cube_map

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import tracemalloc
@@ -357,3 +358,44 @@ class TestInternalErrors:
         assert code == cli.EX_INTERNAL == 70
         assert_refusal(out, err)
         assert err.startswith("error: internal: ")
+
+
+class TestCyclicCollector:
+    # main runs the command with the cyclic collector off and gives it
+    # back in the state it found it, on every way out
+    PATHS = {"ok": (["info", "F"], 0),
+             "usage": (["rank"], cli.EX_USAGE),
+             "precondition": (["rank", "--dim3", "F"], cli.EX_DATAERR),
+             "internal": (["info", "F"], cli.EX_INTERNAL),
+             "help": (["--help"], None)}
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_state_is_restored(self, tmp_path, capsys, monkeypatch, enabled,
+                               path):
+        f = tmp_path / "t.cplx"
+        f.write_text(serialize_complex(torus_grid((4, 4))))
+        argv, code = self.PATHS[path]
+        argv = [str(f) if a == "F" else a for a in argv]
+        seen = []
+        cmd_info = cli.cmd_info
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            if path == "internal":
+                raise RuntimeError("boom")
+            return cmd_info(args)
+
+        monkeypatch.setattr(cli, "cmd_info", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if code is None:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == ([False] if argv[0] == "info" else [])

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from foldcc import core
 from foldcc.core import (CubicalComplex, DisjointSet, SimplicialComplex,
-                         _flag_witness, canonical_cube, components, cube_face,
+                         _flag_witness, canonical_cube, canonical_frame,
+                         components,
                          is_flag, link, load_complex, load_simplicial,
                          restrict_complex, serialize_complex,
                          serialize_simplicial, simplicial_isomorphic,
@@ -16,7 +17,9 @@ from foldcc.folding import find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                standard_sphere, torus_grid)
 
-from helpers import brute_force_nonspanning_clique
+from helpers import (assert_incidence, assert_same_complex,
+                     brute_force_nonspanning_clique, cube_face,
+                     reference_restrict, relabelled)
 
 SQUARE = "cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n"
 
@@ -37,36 +40,6 @@ def corner_orders(corners):
 def symmetry_minimum(corners):
     """Lexicographic minimum over all 2^k * k! symmetries of the cube."""
     return min(corner_orders(corners))
-
-
-def recomputed_incidence(cplx):
-    """faces, cofaces (per dim, per index) and maximal cubes, recomputed
-    from cube_face + canonical_cube."""
-    index = [{c: i for i, c in enumerate(level)} for level in cplx.cubes]
-    faces = [[] for _ in cplx.cubes]
-    cofaces = [[[] for _ in level] for level in cplx.cubes]
-    for k, level in enumerate(cplx.cubes):
-        for i, cube in enumerate(level):
-            refs = [(k - 1, index[k - 1][canonical_cube(cube_face(cube, a, s))])
-                    for a in range(k) for s in (0, 1)]
-            faces[k].append(refs)
-            for fk, fi in refs:
-                cofaces[fk][fi].append((k, i))
-    maximal = [(k, i) for k, level in enumerate(cofaces)
-               for i, cof in enumerate(level) if not cof]
-    return faces, cofaces, maximal
-
-
-def assert_incidence(cplx):
-    faces, cofaces, maximal = recomputed_incidence(cplx)
-    for k, level in enumerate(cplx.cubes):
-        assert [cplx.faces(k, i) for i in range(len(level))] == faces[k]
-        assert [cplx.cofaces(k, i) for i in range(len(level))] == cofaces[k]
-    assert cplx.maximal_cubes() == maximal
-    for k in range(1, len(cplx.cubes)):
-        assert cplx.axis_edges(k) == [cplx.edge_index(cube[0], cube[1 << ax])
-                                      for cube in cplx.cubes[k]
-                                      for ax in range(k)]
 
 
 def empty_triangle_complex():
@@ -158,6 +131,20 @@ class TestCanonicalCube:
         # axes 2, 1, 0, which become axes 0, 1, 2
         assert canonical_cube((9, 2, 4, 8, 6, 1, 3, 5)) == (
             1, 2, 5, 8, 6, 9, 3, 4)
+
+    def test_frame_names_the_faces(self):
+        # canonical face along axis t, side s = input face along axes[t],
+        # side s ^ bit axes[t] of p0
+        r = random.Random(5)
+        for _ in range(300):
+            cube = tuple(r.sample(range(40), 1 << r.randrange(1, 5)))
+            p0, axes = canonical_frame(cube)
+            canon = canonical_cube(cube)
+            assert canon[0] == cube[p0] == min(cube)
+            for t, a in enumerate(axes):
+                for side in (0, 1):
+                    assert set(cube_face(canon, t, side)) == set(
+                        cube_face(cube, a, side ^ (p0 >> a & 1)))
 
     def test_corner_count_must_be_a_power_of_two(self):
         for corners in [(), (0, 1, 2)]:
@@ -386,6 +373,55 @@ class TestFlagFromFaceTable:
         report = validate_fcc(empty_triangle_complex())
         assert (report.flag_links, report.flag_witness) == \
             (False, (0, (1, 2, 3)))
+
+
+def closed_stars(cplx, seeds):
+    """The face-closed set of cubes that meet one of the `seeds`."""
+    refs = set()
+    stack = [(k, i) for v in seeds for k in range(cplx.dim + 1)
+             for i, _ in cplx.star(v)[k]]
+    while stack:
+        ref = stack.pop()
+        if ref not in refs:
+            refs.add(ref)
+            stack.extend(cplx.faces(*ref))
+    return refs
+
+
+class TestRestrictComplex:
+    """Pieces reindex the parent's face table; the reference builds them
+    through face closure, as the decomposition used to."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(FLAG_BASES), st.randoms(use_true_random=False),
+           st.data())
+    def test_matches_the_closure_reference(self, base, rng, data):
+        cplx = relabelled(base, rng)
+        seeds = data.draw(st.sets(st.integers(0, cplx.vertex_count - 1),
+                                  min_size=1, max_size=4))
+        refs = sorted(closed_stars(cplx, seeds))
+        rng.shuffle(refs)
+        got, want = restrict_complex(cplx, refs), reference_restrict(cplx, refs)
+        assert_same_complex(got.complex, want.complex)
+        assert got.to_parent == want.to_parent
+        assert list(got.vertex_index.items()) == list(want.vertex_index.items())
+        assert_incidence(got.complex)
+
+    def test_a_set_that_is_not_face_closed_is_refused(self):
+        square = CubicalComplex.from_maximal_cubes(4, [(0, 1, 2, 3)])
+        refs = [(0, v) for v in range(4)] + [(1, 0), (1, 1), (1, 2), (2, 0)]
+        with pytest.raises(NotAComplex, match="misses the face") as info:
+            restrict_complex(square, refs)
+        assert info.value.detail == ((2, 3),)
+        # an edge whose end is not listed
+        with pytest.raises(NotAComplex) as info:
+            restrict_complex(square, [(0, 0), (1, 0)])
+        assert info.value.detail == ((1,),)
+
+    def test_empty_set(self):
+        piece = restrict_complex(torus_grid((4, 4)), [])
+        assert piece.complex.cell_counts() == (0,)
+        assert piece.to_parent == () and piece.vertex_index == {}
 
 
 def reference_intersections_ok(cplx):

@@ -1,12 +1,23 @@
-import pytest
+import itertools
+import random
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from foldcc import decomposition
 from foldcc.core import CubicalComplex, is_flag, link, validate_fcc
 from foldcc.decomposition import (count_identity_holds, direction_parity,
                                   graph_of_spaces, hyperplanes, is_covering,
                                   subcomplex_XT)
 from foldcc.errors import BadColorSet, NotFCC
 from foldcc.folding import EdgeColoring, coloring_from, find_folding
-from foldcc.generators import cycle_graph, product, torus_grid
+from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
+                               torus_grid)
+
+from helpers import (assert_incidence, assert_same_complex,
+                     reference_cube_map, reference_hyperplanes,
+                     reference_restrict, relabelled)
 
 
 def colored(cplx):
@@ -245,3 +256,73 @@ class TestDirectionParity:
         broken = EdgeColoring(cplx, 2, tuple(colors))
         with pytest.raises(NotFCC):
             direction_parity(cplx, broken, colors[0])
+
+
+_XDA = davis_X(hemispherex(1, (1, 1), allow_dim1=True).complex).complex
+REFERENCE_BASES = [cycle_graph(6), torus_grid((4, 4)), torus_grid((4, 6)),
+                   torus_grid((4, 4, 4)), _XDA, product(_XDA, cycle_graph(4))]
+
+
+def assert_matches_the_references(cplx, coloring):
+    """Vertex spaces for every T, hyperplane components and attaching maps
+    for every color, against the builds through face closure."""
+    n = coloring.n
+    for r in range(1, n + 1):
+        for T in itertools.combinations(range(1, n + 1), r):
+            sub = subcomplex_XT(cplx, coloring, T)
+            got = sub.components()
+            with mock.patch.object(decomposition, "restrict_complex",
+                                   reference_restrict):
+                want = sub.components()
+            assert len(got) == len(want)
+            for piece, ref in zip(got, want):
+                assert_same_complex(piece.complex, ref.complex)
+                assert piece.to_parent == ref.to_parent
+                assert piece.vertex_index == ref.vertex_index
+                assert_incidence(piece.complex)
+    for color in range(1, n + 1):
+        got = hyperplanes(cplx, coloring, color)
+        want = reference_hyperplanes(cplx, coloring, color)
+        assert len(got) == len(want)
+        for h, ref in zip(got, want):
+            assert_same_complex(h.complex, ref.complex)
+            assert h.edge_of_vertex == ref.edge_of_vertex
+            # insertion order too: levels >= 1 first, then level 0
+            assert list(h.carrier.items()) == list(ref.carrier.items())
+            assert_incidence(h.complex)
+        if cplx.dim < 2:
+            continue
+        gos = graph_of_spaces(cplx, coloring, color)
+        parity = direction_parity(cplx, coloring, color)
+        for g0, g1 in gos.attaching:
+            for g in (g0, g1):
+                h, piece = g.edge_space, g.vertex_space
+                ends = [cplx.cubes[1][e] for e in h.edge_of_vertex]
+                assert g.vertex_map == tuple(
+                    piece.vertex_index[u if parity[u] == g.side else w]
+                    for u, w in ends)
+                assert list(g.cube_map.items()) == list(reference_cube_map(
+                    cplx, coloring, color, parity, h, g.side, piece).items())
+
+
+class TestAgainstTheClosureReferences:
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(REFERENCE_BASES),
+           st.randoms(use_true_random=False))
+    def test_relabelled_corpus_complexes(self, base, rng):
+        assert_matches_the_references(*colored(relabelled(base, rng)))
+
+    def test_relabelled_hemispherex(self, x_hemispherex):
+        cplx = relabelled(x_hemispherex.complex, random.Random(8))
+        assert_matches_the_references(*colored(cplx))
+
+    def test_the_decomposition_builds_no_closure(self, torus44, monkeypatch):
+        # pieces and hyperplane components reindex the parent's tables
+        def refuse(*args, **kwargs):
+            raise AssertionError("face closure called")
+        monkeypatch.setattr(decomposition.CubicalComplex,
+                            "from_maximal_cubes", refuse)
+        monkeypatch.setattr("foldcc.core.canonical_cube", refuse)
+        monkeypatch.setattr("foldcc.core._face_closure", refuse)
+        for color in (1, 2):
+            graph_of_spaces(torus44.complex, torus44.coloring, color)
