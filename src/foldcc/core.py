@@ -60,7 +60,17 @@ def canonical_frame(corners):
 
 
 def canonical_cube(corners):
-    """Canonical corner order of a cube given as a corner tuple."""
+    """Canonical corner order of a cube given as distinct corners.  An edge
+    is its sorted pair; a square's least corner comes first, the far end of
+    its diagonal last, the other diagonal in increasing order between."""
+    if len(corners) == 2:
+        a, b = corners
+        return (a, b) if a < b else (b, a)
+    if len(corners) == 4:
+        c0, c1, c2, c3 = corners
+        lo1, hi1 = (c0, c3) if c0 < c3 else (c3, c0)
+        lo2, hi2 = (c1, c2) if c1 < c2 else (c2, c1)
+        return (lo1, lo2, hi2, hi1) if lo1 < lo2 else (lo2, lo1, hi1, hi2)
     k = (len(corners) - 1).bit_length()
     if len(corners) != 1 << k:
         raise NotAComplex("corner count %d is not a power of two" % len(corners))
@@ -84,22 +94,12 @@ def _face_closure(vertex_count, maximal):
 
     Returns the cubes by dim (each level sorted, level 0 all vertices), the
     map vertex set -> (dim, index) and the face table of CubicalComplex.
-    Every side-1 face is canonicalized once per cube it bounds.
+    Cubes are keyed by canonical tuple and every side-1 face occurrence of
+    dimension >= 1 is canonicalized; vertex sets are built once per cube.
     """
-    levels = {}   # dim -> canonical cubes in order of discovery
-    found = {}    # vertex set -> position in levels[dim]
+    levels = {}   # dim -> {canonical cube: position in order of discovery}
     facets = {}   # dim -> positions in levels[dim-1] of each cube's faces
-
-    def place(cube, k):
-        level = levels.setdefault(k, [])
-        j = found.setdefault(frozenset(cube), len(level))
-        if j == len(level):
-            level.append(cube)
-        elif level[j] != cube:
-            raise NotAComplex("two distinct cubes on the same vertex set",
-                              detail=(level[j], cube))
-        return j
-
+    listed = {}   # vertex set -> listed cube, for the first pass only
     for corners in maximal:
         k = (len(corners) - 1).bit_length()
         if len(corners) != 1 << k:
@@ -109,7 +109,14 @@ def _face_closure(vertex_count, maximal):
         for v in corners:
             if not (0 <= v < vertex_count):
                 raise NotAComplex("corner %d out of range" % v)
-        place(canonical_cube(tuple(corners)), k)
+        cube = canonical_cube(tuple(corners))
+        other = listed.setdefault(frozenset(cube), cube)
+        if other != cube:
+            raise NotAComplex("two distinct cubes on the same vertex set",
+                              detail=(other, cube))
+        level = levels.setdefault(k, {})
+        level.setdefault(cube, len(level))
+    del listed
     top = max(levels) if levels else 0
     # faces only go down, so level k is complete once level k+1 is done
     # a side-0 face keeps the least corner and its neighbours in increasing
@@ -117,28 +124,32 @@ def _face_closure(vertex_count, maximal):
     for k in range(top, 0, -1):
         pickers = _face_pickers(k)
         sides = list(zip(pickers[::2], pickers[1::2]))
+        canon = canonical_cube if k > 1 else tuple
+        below = levels.setdefault(k - 1, {})
+        place = below.setdefault
         row = facets[k] = []
-        for cube in levels.get(k, ()):
+        for cube in levels[k]:
             for side0, side1 in sides:
-                row.append(place(side0(cube), k - 1))
-                row.append(place(canonical_cube(side1(cube)), k - 1))
+                row.append(place(side0(cube), len(below)))
+                row.append(place(canon(side1(cube)), len(below)))
 
     cubes_by_dim = [tuple((v,) for v in range(vertex_count))]
     face_table = [[]]
-    ranks = [[v for (v,) in levels.get(0, ())]]   # position -> index
+    ranks = [[v for (v,) in levels.pop(0, ())]]   # position -> index
+    found = {frozenset((v,)): (0, v) for v in range(vertex_count)}
     for k in range(1, top + 1):
-        level = levels.get(k, [])
+        level = list(levels.pop(k))
         order = sorted(range(len(level)), key=level.__getitem__)
         cubes_by_dim.append(tuple(level[j] for j in order))
-        below, flat, w = ranks[-1], facets[k], 2 * k
+        below, flat, w = ranks[-1], facets.pop(k), 2 * k
         face_table.append([below[p] for j in order
                            for p in flat[w * j:w * j + w]])
         ranks.append(sorted(range(len(level)), key=order.__getitem__))
-    for vset, j in found.items():
-        k = (len(vset) - 1).bit_length()
-        found[vset] = (k, ranks[k][j])
-    for v in range(vertex_count):
-        found.setdefault(frozenset((v,)), (0, v))
+        known = len(found)
+        found.update(zip(map(frozenset, level),
+                         zip(itertools.repeat(k), ranks[k])))
+        if len(found) - known < len(level):
+            raise NotAComplex("two distinct cubes on the same vertex set")
     return tuple(cubes_by_dim), found, face_table
 
 
@@ -757,20 +768,30 @@ def _flag_witness(cplx):
     """(v, directions) of the least vertex whose link is not flag, or None.
 
     A clique grows one direction at a time, so the link at v is flag iff
-    every direction link-adjacent (`link_adj(v)`) to all directions of a
-    k-cube s at v, k >= 2, spans a (k+1)-coface of s with them.  This
-    assumes that distinct cubes at v have distinct direction sets.  The
-    intersection axiom gives it: two k-cubes at v on the same directions
-    share v and its k neighbours, and the only face holding those is the
-    whole cube, so the two are one cube.  The generators build complexes
-    that satisfy it.  Cofaces of s then add distinct directions, so the
-    test is a count: s has as many (k+1)-cofaces as its directions have
-    common link neighbours (a top cube none).  A vertex that fails the
-    count gets its link built, and `is_flag` confirms it and names the
-    witness.
+    every direction link-adjacent to all directions of a k-cube s at v,
+    k >= 2, spans a (k+1)-coface of s with them.  This assumes that
+    distinct cubes at v have distinct direction sets.  The intersection
+    axiom gives it: two k-cubes at v on the same directions share v and
+    its k neighbours, and the only face holding those is the whole cube,
+    so the two are one cube.  The generators build complexes that satisfy
+    it.  Cofaces of s then add distinct directions, so the test is a
+    count: s has as many (k+1)-cofaces as its directions have common link
+    neighbours (a top cube none), on bitmasks: direction j at v (the j-th
+    of `neighbors(v)`) is bit j, each maps to its link neighbours as in
+    `link_adj`.  A vertex that fails the count gets its link built, and
+    `is_flag` confirms it and names the witness.
     """
-    suspect = bytearray(cplx.vertex_count)
-    link_adj = [cplx.link_adj(v) for v in range(cplx.vertex_count)]
+    n = cplx.vertex_count
+    bit = [{w: 1 << j for j, w in enumerate(cplx.neighbors(v))}
+           for v in range(n)]
+    masks = [dict.fromkeys(bits, 0) for bits in bit]
+    for c0, c1, c2, c3 in cplx.cubes[2] if len(cplx.cubes) > 2 else ():
+        for v0, a, b in ((c0, c1, c2), (c1, c0, c3), (c2, c0, c3),
+                         (c3, c1, c2)):
+            masks[v0][a] |= bit[v0][b]
+            masks[v0][b] |= bit[v0][a]
+    del bit
+    suspect = bytearray(n)
     for k in range(2, len(cplx.cubes)):
         counts = cplx._coface_counts(k)
         # per corner position: its neighbour along axis 0, then the rest
@@ -778,12 +799,13 @@ def _flag_witness(cplx):
                  for p in range(1 << k)]
         for cube, count in zip(cplx.cubes[k], counts):
             for p, q, rest in steps:
-                adj = link_adj[cube[p]]
-                common = adj[cube[q]].intersection(*[adj[cube[r]]
-                                                     for r in rest])
-                if len(common) != count:
+                adj = masks[cube[p]]
+                common = adj[cube[q]]
+                for r in rest:
+                    common &= adj[cube[r]]
+                if common.bit_count() != count:
                     suspect[cube[p]] = 1
-    for v in range(cplx.vertex_count):
+    for v in range(n):
         if suspect[v]:
             lnk = link(cplx, v)
             ok, bad = is_flag(lnk.complex)

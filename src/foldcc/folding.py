@@ -16,7 +16,6 @@ that basis.
 """
 
 import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -335,17 +334,19 @@ def find_folding(cplx):
     classes = parallel_classes(cplx)
     class_of = classes.class_of
 
-    # classes inside one cube must be pairwise distinct; collect conflicts
+    # classes inside one cube must be pairwise distinct; collect conflicts.
+    # Squares suffice: corner 0 of a k-cube is its least corner, so it is
+    # corner 0 of the square on any two of its axes, whose axis edges are
+    # those two.  A repeated class in a cube repeats in such a square, and
+    # every square comes before every larger cube.
     conflict_pairs = set()
-    for k in range(2, n + 1):
-        table = cplx.axis_edges(k)
-        for i in range(cplx.n_cubes(k)):
-            axes = [class_of[e] for e in table[k * i:k * i + k]]
-            if len(set(axes)) != k:
-                return NotFoldable("direction", detail=cplx.cubes[k][i])
-            conflict_pairs.update(
-                (a, b) if a < b else (b, a)
-                for a, b in itertools.combinations(axes, 2))
+    if n >= 2:
+        table = cplx.axis_edges(2)
+        for i in range(cplx.n_cubes(2)):
+            a, b = class_of[table[2 * i]], class_of[table[2 * i + 1]]
+            if a == b:
+                return NotFoldable("direction", detail=cplx.cubes[2][i])
+            conflict_pairs.add((a, b) if a < b else (b, a))
 
     basis = _cycle_basis(cplx, classes)
 

@@ -9,7 +9,9 @@ import itertools
 from collections import deque
 
 from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
-                         canonical_cube, link)
+                         _corner_picker, _face_pickers, canonical_cube,
+                         canonical_frame, is_flag, link)
+from foldcc.errors import NotAComplex
 from foldcc.decomposition import HyperplaneComponent
 
 
@@ -198,3 +200,97 @@ def reference_cube_map(cplx, coloring, color, parity, h, b, piece):
         cube_map[(k, j)] = piece.complex.cube_index(
             tuple(piece.vertex_index[v] for v in face))
     return cube_map
+
+
+# The face closure and flag count as they were before the closure keyed
+# cubes by their canonical tuple and the flag count ran on bitmasks.
+
+def reference_canonical_cube(corners):
+    """canonical_cube without its edge and square shortcuts."""
+    if len(corners) == 1:
+        return tuple(corners)
+    return _corner_picker(*canonical_frame(corners))(corners)
+
+
+def reference_face_closure(vertex_count, maximal):
+    """Face closure with one frozenset per face occurrence: every face is
+    placed by its vertex set, and a face whose vertex set already carries
+    another cube fails at once."""
+    levels = {}   # dim -> canonical cubes in order of discovery
+    found = {}    # vertex set -> position in levels[dim]
+    facets = {}   # dim -> positions in levels[dim-1] of each cube's faces
+
+    def place(cube, k):
+        level = levels.setdefault(k, [])
+        j = found.setdefault(frozenset(cube), len(level))
+        if j == len(level):
+            level.append(cube)
+        elif level[j] != cube:
+            raise NotAComplex("two distinct cubes on the same vertex set",
+                              detail=(level[j], cube))
+        return j
+
+    for corners in maximal:
+        k = (len(corners) - 1).bit_length()
+        if len(corners) != 1 << k:
+            raise NotAComplex("cube with %d corners" % len(corners))
+        if len(set(corners)) != len(corners):
+            raise NotAComplex("cube has repeated corners",
+                              detail=(tuple(corners),))
+        for v in corners:
+            if not (0 <= v < vertex_count):
+                raise NotAComplex("corner %d out of range" % v)
+        place(reference_canonical_cube(tuple(corners)), k)
+    top = max(levels) if levels else 0
+    for k in range(top, 0, -1):
+        pickers = _face_pickers(k)
+        sides = list(zip(pickers[::2], pickers[1::2]))
+        row = facets[k] = []
+        for cube in levels.get(k, ()):
+            for side0, side1 in sides:
+                row.append(place(side0(cube), k - 1))
+                row.append(place(reference_canonical_cube(side1(cube)), k - 1))
+
+    cubes_by_dim = [tuple((v,) for v in range(vertex_count))]
+    face_table = [[]]
+    ranks = [[v for (v,) in levels.get(0, ())]]   # position -> index
+    for k in range(1, top + 1):
+        level = levels.get(k, [])
+        order = sorted(range(len(level)), key=level.__getitem__)
+        cubes_by_dim.append(tuple(level[j] for j in order))
+        below, flat, w = ranks[-1], facets[k], 2 * k
+        face_table.append([below[p] for j in order
+                           for p in flat[w * j:w * j + w]])
+        ranks.append(sorted(range(len(level)), key=order.__getitem__))
+    for vset, j in found.items():
+        k = (len(vset) - 1).bit_length()
+        found[vset] = (k, ranks[k][j])
+    for v in range(vertex_count):
+        found.setdefault(frozenset((v,)), (0, v))
+    return tuple(cubes_by_dim), found, face_table
+
+
+def reference_flag_witness(cplx):
+    """The flag count on per-direction sets of link neighbours: at every
+    corner of every k-cube, k >= 2, intersect the `link_adj` sets of its k
+    directions and compare the size with the cube's coface count."""
+    suspect = bytearray(cplx.vertex_count)
+    link_adj = [cplx.link_adj(v) for v in range(cplx.vertex_count)]
+    for k in range(2, len(cplx.cubes)):
+        counts = cplx._coface_counts(k)
+        steps = [(p, p ^ 1, [p ^ (1 << ax) for ax in range(1, k)])
+                 for p in range(1 << k)]
+        for cube, count in zip(cplx.cubes[k], counts):
+            for p, q, rest in steps:
+                adj = link_adj[cube[p]]
+                common = adj[cube[q]].intersection(*[adj[cube[r]]
+                                                     for r in rest])
+                if len(common) != count:
+                    suspect[cube[p]] = 1
+    for v in range(cplx.vertex_count):
+        if suspect[v]:
+            lnk = link(cplx, v)
+            ok, bad = is_flag(lnk.complex)
+            if not ok:
+                return v, tuple(lnk.directions[j] for j in bad)
+    return None

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from foldcc import core
 from foldcc.core import (CubicalComplex, DisjointSet, SimplicialComplex,
-                         _flag_witness, canonical_cube, canonical_frame,
-                         components,
+                         _face_closure, _flag_witness, canonical_cube,
+                         canonical_frame, components,
                          is_flag, link, load_complex, load_simplicial,
                          restrict_complex, serialize_complex,
                          serialize_simplicial, simplicial_isomorphic,
@@ -19,6 +19,7 @@ from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
 
 from helpers import (assert_incidence, assert_same_complex,
                      brute_force_nonspanning_clique, cube_face,
+                     reference_face_closure, reference_flag_witness,
                      reference_restrict, relabelled)
 
 SQUARE = "cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n"
@@ -145,6 +146,17 @@ class TestCanonicalCube:
                 for side in (0, 1):
                     assert set(cube_face(canon, t, side)) == set(
                         cube_face(cube, a, side ^ (p0 >> a & 1)))
+
+    def test_every_order_of_a_square_or_an_edge(self):
+        # the shortcuts for 2 and 4 corners, on every corner order, not
+        # only those of one square
+        r = random.Random(6)
+        for _ in range(30):
+            square = r.sample(range(40), 4)
+            for corners in itertools.permutations(square):
+                assert canonical_cube(corners) == symmetry_minimum(corners)
+            for corners in itertools.permutations(square[:2]):
+                assert canonical_cube(corners) == symmetry_minimum(corners)
 
     def test_corner_count_must_be_a_power_of_two(self):
         for corners in [(), (0, 1, 2)]:
@@ -305,7 +317,7 @@ class TestValidateFcc:
         assert "is_fcc = true" in text
 
 
-def reference_flag_witness(cplx):
+def per_link_flag_witness(cplx):
     """The per-vertex flag test the face-table test must reproduce: build
     every link and run is_flag on it, least vertex first."""
     for v in range(cplx.vertex_count):
@@ -338,7 +350,7 @@ class TestFlagFromFaceTable:
     @settings(max_examples=40, deadline=None)
     @given(pruned_complexes())
     def test_matches_the_per_vertex_links(self, cplx):
-        assert _flag_witness(cplx) == reference_flag_witness(cplx)
+        assert _flag_witness(cplx) == per_link_flag_witness(cplx)
 
     def test_fails_where_a_top_cube_is_missing(self):
         # a 3-cube's corner link is a filled triangle; without the cube it
@@ -346,12 +358,12 @@ class TestFlagFromFaceTable:
         base = torus_grid((4, 4, 4))
         cubes = [base.cubes[k][i] for k, i in base.maximal_cubes()]
         cplx = CubicalComplex.from_maximal_cubes(base.vertex_count, cubes[1:])
-        assert _flag_witness(cplx) == reference_flag_witness(cplx)
+        assert _flag_witness(cplx) == per_link_flag_witness(cplx)
         assert _flag_witness(cplx)[0] == cubes[0][0]
 
     def test_empty_triangle(self):
         cplx = empty_triangle_complex()
-        assert _flag_witness(cplx) == reference_flag_witness(cplx) \
+        assert _flag_witness(cplx) == per_link_flag_witness(cplx) \
             == (0, (1, 2, 3))
 
     def test_count_failure_is_confirmed_by_the_link(self, monkeypatch):
@@ -365,7 +377,7 @@ class TestFlagFromFaceTable:
         built = []
         monkeypatch.setattr(core, "link", lambda c, v: built.append(v)
                             or link(c, v))
-        assert _flag_witness(cplx) == reference_flag_witness(cplx)
+        assert _flag_witness(cplx) == per_link_flag_witness(cplx)
         assert 0 in built
         assert built == sorted(built)
 
@@ -540,6 +552,119 @@ class TestIntersectionAxiom:
     def test_squares_sharing_adjacent_corners_pass(self):
         # an edge is a face of both, the diagonals differ
         CubicalComplex.from_maximal_cubes(6, [(0, 1, 2, 3), (0, 1, 4, 5)])
+
+
+def same_closure(n, cubes):
+    """_face_closure gives the reference's cubes, face table and vertex-set
+    map, or raises the same exception type with the same text.  Returns
+    the complex, or None."""
+    try:
+        want = reference_face_closure(n, cubes)
+    except NotAComplex as exc:
+        with pytest.raises(NotAComplex) as info:
+            _face_closure(n, cubes)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return None
+    got = _face_closure(n, cubes)
+    assert got[0] == want[0]
+    assert got[2] == want[2]
+    assert got[1] == want[1]
+    return CubicalComplex(n, *got)
+
+
+def same_flag_witness(cplx):
+    witness = _flag_witness(cplx)
+    assert witness == reference_flag_witness(cplx)
+    return witness
+
+
+def shuffled_corners(cube, rng):
+    """The same cube under a random symmetry: axes permuted, sides flipped."""
+    k = (len(cube) - 1).bit_length()
+    perm, mask = rng.sample(range(k), k), rng.randrange(1 << k)
+    return tuple(cube[sum((((b >> j) ^ (mask >> j)) & 1) << perm[j]
+                          for j in range(k))] for b in range(1 << k))
+
+
+class TestAgainstTheReferences:
+    """The closure keyed by canonical tuples and the flag count on bitmasks
+    against the frozenset closure and the set-based count they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cube_soups())
+    def test_soups(self, soup):
+        cplx = same_closure(*soup)
+        if cplx is not None:
+            same_flag_witness(cplx)
+
+    @settings(max_examples=60, deadline=None)
+    @given(glued_complexes())
+    def test_glued_corpus_complexes(self, soup):
+        cplx = same_closure(*soup)
+        if cplx is not None:
+            same_flag_witness(cplx)
+
+    def test_relabelled_corpus(self, corpus_all):
+        # X(H) itself, not its three twice larger covers, to keep this short
+        rng = random.Random(9)
+        for base in [e.complex for e in corpus_all]:
+            if base.n_cubes(base.dim) > 10240:
+                continue
+            perm = rng.sample(range(base.vertex_count), base.vertex_count)
+            cubes = [shuffled_corners(tuple(perm[v] for v in base.cubes[k][i]),
+                                      rng) for k, i in base.maximal_cubes()]
+            rng.shuffle(cubes)
+            cplx = same_closure(base.vertex_count, cubes)
+            assert cplx.cell_counts() == base.cell_counts()
+            assert same_flag_witness(cplx) is None
+
+    def test_torus_minus_a_top_cube(self):
+        rng = random.Random(10)
+        base = torus_grid((6, 6, 6))
+        tops = [base.cubes[k][i] for k, i in base.maximal_cubes()]
+        for drop in rng.sample(range(len(tops)), 4):
+            perm = rng.sample(range(base.vertex_count), base.vertex_count)
+            cubes = [tuple(perm[v] for v in c)
+                     for j, c in enumerate(tops) if j != drop]
+            cplx = same_closure(base.vertex_count, cubes)
+            # every corner of the missing cube has a hollow triangle link
+            assert same_flag_witness(cplx)[0] == min(perm[v]
+                                                     for v in tops[drop])
+
+    def test_flag_complexes_build_no_link(self, monkeypatch):
+        # the count alone clears every vertex of a flag complex
+        built = []
+        monkeypatch.setattr(core, "link", lambda c, v: built.append(v)
+                            or link(c, v))
+        for base in FLAG_BASES:
+            assert _flag_witness(relabelled(base, random.Random(11))) is None
+        assert built == []
+
+    def test_non_flag_corner(self):
+        # three squares round a corner, with no cube (foldbench's reject
+        # workload validates it)
+        cplx = same_closure(7, [(0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6)])
+        assert same_flag_witness(cplx) == (0, (1, 2, 3))
+
+    @pytest.mark.parametrize("n, cubes, text", [
+        (4, [(0, 1, 2)], "cube with 3 corners"),
+        (4, [(0, 1, 2, 2)], "cube has repeated corners"),
+        (2, [(0, 5)], "corner 5 out of range"),
+        # the listed pair is found before the later bad corner count
+        (4, [(0, 1, 2, 3), (0, 1, 3, 2), (0, 1, 2)],
+         "two distinct cubes on the same vertex set"),
+        # a listed square on a face of a listed 3-cube, in another order
+        (8, [tuple(range(8)), (0, 1, 3, 2)],
+         "two distinct cubes on the same vertex set"),
+        # two 3-cubes whose faces on {0, 1, 2, 3} differ
+        (12, [tuple(range(8)), (0, 1, 3, 2, 8, 9, 10, 11)],
+         "two distinct cubes on the same vertex set"),
+        (4, [()], "cube with 0 corners"),
+    ])
+    def test_hostile_inputs(self, n, cubes, text):
+        with pytest.raises(NotAComplex, match="^%s$" % text):
+            _face_closure(n, cubes)
+        assert same_closure(n, cubes) is None
 
 
 class TestLinkConsequences:
