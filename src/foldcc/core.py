@@ -31,7 +31,7 @@ that generated files round-trip byte-identically.
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import NotAComplex, ParseError, UnknownVertex
 
@@ -230,7 +230,8 @@ class CubicalComplex:
     """Finite face-closed cubical complex with dense vertex ids 0..N-1.
 
     Immutable after construction; derived tables are cached lazily and all
-    queries are pure.
+    queries are pure.  A complex that reindexes another's tables (`by_vset`
+    None) builds the map behind `cube_index`/`edge_index` on first use.
     """
 
     def __init__(self, vertex_count, cubes_by_dim, by_vset, face_table,
@@ -240,7 +241,8 @@ class CubicalComplex:
         self.vertex_count = vertex_count
         self.cubes = cubes_by_dim  # tuple over dims of tuples of corner tuples
         self.provenance = provenance
-        self._by_vset = by_vset
+        if by_vset is not None:
+            self._by_vset = by_vset
         # per dim k: face indices (in dim k-1) of every k-cube, 2k per cube
         # in axis/side order
         self._faces = face_table
@@ -310,6 +312,11 @@ class CubicalComplex:
 
     def euler_characteristic(self):
         return sum((-1) ** k * len(level) for k, level in enumerate(self.cubes))
+
+    @cached_property
+    def _by_vset(self):   # vertex set -> (dim, index)
+        return {frozenset(c): (k, i) for k, level in enumerate(self.cubes)
+                for i, c in enumerate(level)}
 
     def cube_index(self, corners):
         """(dim, index) of the cube with this vertex set, or None."""
@@ -457,10 +464,12 @@ class CubicalComplex:
 
 @dataclass
 class ComponentPiece:
-    """A connected component with index maps back to its parent complex."""
+    """A connected component with index maps back to its parent complex,
+    per dimension in `local_index` (level 0 is `vertex_index`)."""
     complex: CubicalComplex
     to_parent: tuple          # new vertex id -> parent vertex id
     vertex_index: dict        # parent vertex id -> new vertex id
+    local_index: list = None  # per dim: parent cube index -> new index
 
 
 def restrict_complex(parent, cube_refs):
@@ -471,14 +480,15 @@ def restrict_complex(parent, cube_refs):
     NotAComplex names a missing face.  The vertices are renumbered in
     increasing order, which keeps canonical cubes canonical and levels
     sorted: each level is the listed parent cubes in parent order, each
-    face entry the parent's, renumbered; nothing is closed again.
+    face entry the parent's, renumbered; nothing is closed again.  The
+    renumberings are the piece's `local_index`; its vertex-set map is lazy.
     """
     chosen = [set() for _ in parent.cubes]
     for k, i in cube_refs:
         chosen[k].add(i)
     while len(chosen) > 1 and not chosen[-1]:
         chosen.pop()
-    cubes, face_table, by_vset, index = [], [[]], {}, []
+    cubes, face_table, index = [], [[]], []
     for k, refs in enumerate(map(sorted, chosen)):
         if k:   # faces first: once they are all listed, so are the corners
             row, below, w = parent._faces[k], index[k - 1], 2 * k
@@ -490,11 +500,10 @@ def restrict_complex(parent, cube_refs):
                 raise NotAComplex("cube set misses the face %r" % (face,),
                                   detail=(face,)) from None
         index.append(dict(zip(refs, range(len(refs)))))
-        cubes.append(tuple(tuple(index[0][v] for v in parent.cubes[k][i])
-                           for i in refs))
-        by_vset.update((frozenset(c), (k, j)) for j, c in enumerate(cubes[k]))
-    cplx = CubicalComplex(len(index[0]), tuple(cubes), by_vset, face_table)
-    return ComponentPiece(cplx, tuple(index[0]), index[0])
+        cubes.append(tuple(tuple(map(index[0].__getitem__,
+                                     parent.cubes[k][i])) for i in refs))
+    cplx = CubicalComplex(len(index[0]), tuple(cubes), None, face_table)
+    return ComponentPiece(cplx, tuple(index[0]), index[0], index)
 
 
 def components(cplx):
@@ -504,8 +513,9 @@ def components(cplx):
     """
     parts = cplx.vertex_components()
     if len(parts) == 1:
+        index = [{i: i for i in range(len(level))} for level in cplx.cubes]
         return [ComponentPiece(cplx, tuple(range(cplx.vertex_count)),
-                               {v: v for v in range(cplx.vertex_count)})]
+                               index[0], index)]
     where = {}
     for ci, part in enumerate(parts):
         for v in part:
@@ -953,6 +963,7 @@ def load_complex(text):
             raise ParseError("cube of dimension %d needs %s corners, got %d"
                              % (k, need, len(verts)))
         maximal.append(tuple(verts))
+    del cells   # no parse error is left to raise; free before the closure
     return CubicalComplex.from_maximal_cubes(
         vertex_count, maximal, check_intersections=True, provenance=provenance)
 

@@ -18,10 +18,10 @@ graph are kept apart.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .core import (ComponentPiece, CubicalComplex, DisjointSet,
-                   _corner_picker, canonical_frame, restrict_complex,
-                   spanning_forest_labels)
+                   _corner_picker, restrict_complex, spanning_forest_labels)
 from .errors import BadColorSet, NotFCC
 
 
@@ -39,9 +39,10 @@ class Subcomplex:
         for k, i in self.refs:
             if k == 1:
                 ds.union(*parent.cubes[1][i])
-        groups = {}
-        for k, i in self.refs:
-            groups.setdefault(ds.find(parent.cubes[k][i][0]), []).append((k, i))
+        root, groups = [ds.find(v) for v in range(parent.vertex_count)], {}
+        for ref in self.refs:
+            k, i = ref
+            groups.setdefault(root[parent.cubes[k][i][0]], []).append(ref)
         return [restrict_complex(parent, groups[r]) for r in sorted(groups)]
 
 
@@ -50,12 +51,13 @@ def subcomplex_XT(cplx, coloring, T):
     T = frozenset(T)
     if not T or not T <= set(range(1, coloring.n + 1)):
         raise BadColorSet("colors %r outside 1..%d" % (sorted(T), coloring.n))
+    inside = [c in T for c in coloring.colors]
     refs = [(0, i) for i in range(cplx.vertex_count)]
     for k in range(1, cplx.dim + 1):
-        table = cplx.axis_edges(k)
-        for i in range(cplx.n_cubes(k)):
-            if all(coloring.of_edge(e) in T for e in table[k * i:k * i + k]):
-                refs.append((k, i))
+        table, keep = cplx.axis_edges(k), [True] * cplx.n_cubes(k)
+        for j in [j for j, e in enumerate(table) if not inside[e]]:
+            keep[j // k] = False
+        refs += [(k, i) for i, kept in enumerate(keep) if kept]
     return Subcomplex(cplx, T, tuple(refs))
 
 
@@ -74,52 +76,64 @@ class HyperplaneComponent:
 
 
 @lru_cache(maxsize=None)
-def _midcube_face_offsets(k, axis, p0, axes):
-    # carrier face-row entries of its midcube's faces, in frame (p0, axes)
+def _carrier_ends(k, axis):
+    # carrier corners p and p | bit of its midcube's corners, in order
+    lo = [p for p in range(1 << k) if not p >> axis & 1]
+    return itemgetter(*lo), itemgetter(*[p | 1 << axis for p in lo])
+
+
+def _midcube_axes(corners):
+    # p0 = 0: corner 0 of a canonical carrier is its least vertex
+    return tuple(sorted(range(len(corners).bit_length() - 1),
+                        key=lambda t: corners[1 << t]))
+
+
+@lru_cache(maxsize=None)
+def _midcube_layout(k, axis, axes):
+    # frame (0, axes): corner order, carrier face-row entries of the faces
     rest = [a for a in range(k) if a != axis]
-    return [2 * rest[a] + (side ^ (p0 >> a & 1))
-            for a in axes for side in (0, 1)]
+    return _corner_picker(0, axes), [2 * rest[a] + side for a in axes
+                                     for side in (0, 1)]
 
 
 def hyperplanes(cplx, coloring, color):
     """Components of the hyperplane complex H_color.
 
-    A midcube's corners are its carrier's color edges; it is put in
-    canonical order once, by its frame (p0, axes) (`canonical_frame`).
-    Its face along canonical axis t, side s, is the midcube of the
-    carrier's face along carrier axis rest[axes[t]], side
-    s ^ (p0 >> axes[t] & 1), where rest lists the carrier's axes without
-    the color axis; so the face table is read off the parent's.  A
-    component numbers its edges in increasing order, which keeps every
-    canonical order canonical and every sorted level sorted.
+    A midcube's corners are its carrier's color edges, put in canonical
+    order once by the frame (0, axes) read off the canonical carrier
+    (`_midcube_axes`).  Its face along canonical axis t, side s, is the
+    midcube of the carrier's face along axis rest[axes[t]], side s (rest:
+    the carrier's axes but the color axis), read off the parent's face
+    table.  A component numbers its edges in increasing order, which keeps
+    canonical orders canonical and sorted levels sorted; its vertex-set
+    map is built on first use.
     """
     if not 1 <= color <= coloring.n:
         raise BadColorSet("color %d outside 1..%d" % (color, coloring.n))
-    n = cplx.vertex_count
     colored, edge_at = coloring.edges_of_color(color), {}
     for e in colored:
         u, w = cplx.cubes[1][e]
-        edge_at[u * n + w] = edge_at[w * n + u] = e
+        edge_at[u, w] = edge_at[w, u] = e
+    edge_of = edge_at.__getitem__
     # per midcube dimension: (canonical corners, carrier index, face offsets)
     mids = [[((e,), e, ()) for e in colored]]
     for k in range(2, cplx.dim + 1):
         mids.append([])
         for i, axis in enumerate(_color_axes(cplx, coloring, color, k)):
             if axis >= 0:
-                cube, bit = cplx.cubes[k][i], 1 << axis
-                corners = tuple(edge_at[cube[p] * n + cube[p | bit]]
-                                for p in range(1 << k) if not p & bit)
-                frame = canonical_frame(corners)
-                mids[k - 1].append((_corner_picker(*frame)(corners), i,
-                                    _midcube_face_offsets(k, axis, *frame)))
+                lo, hi = _carrier_ends(k, axis)
+                cube = cplx.cubes[k][i]
+                corners = tuple(map(edge_of, zip(lo(cube), hi(cube))))
+                pick, faces = _midcube_layout(k, axis, _midcube_axes(corners))
+                mids[k - 1].append((pick(corners), i, faces))
     ds = DisjointSet(cplx.n_cubes(1))
     for corners, _, _ in mids[1] if len(mids) > 1 else ():
         ds.union(*corners)
-    comps = {}    # least edge -> midcubes by dimension
+    # least edge -> midcubes by dimension
+    comps = {e: [[] for _ in mids] for e in colored if ds.find(e) == e}
     for d, level in enumerate(mids):
         for mid in level:
-            comps.setdefault(ds.find(mid[0][0]),
-                             [[] for _ in mids])[d].append(mid)
+            comps[ds.find(mid[0][0])][d].append(mid)
     out = []
     for root in sorted(comps):
         levels = comps[root]
@@ -127,13 +141,11 @@ def hyperplanes(cplx, coloring, color):
             levels.pop()
         verts = [e for (e,), _, _ in levels[0]]
         below = local = dict(zip(verts, range(len(verts))))
-        cubes, face_table, by_vset, carrier = [], [[]], {}, {}
+        cubes, face_table, carrier = [], [[]], {}
         for d, level in enumerate(levels):
             level.sort()
-            cubes.append(tuple(tuple(local[e] for e in corners)
+            cubes.append(tuple(tuple(map(local.__getitem__, corners))
                                for corners, _, _ in level))
-            by_vset.update((frozenset(c), (d, j))
-                           for j, c in enumerate(cubes[d]))
             if d:
                 row, w = cplx._faces[d + 1], 2 * d + 2
                 face_table.append([below[row[w * i + o]]
@@ -143,7 +155,7 @@ def hyperplanes(cplx, coloring, color):
                                for j, (_, i, _) in enumerate(level))
                 below = {i: j for j, (_, i, _) in enumerate(level)}
         carrier.update(((0, j), (1, e)) for j, e in enumerate(verts))
-        cx = CubicalComplex(len(verts), tuple(cubes), by_vset, face_table)
+        cx = CubicalComplex(len(verts), tuple(cubes), None, face_table)
         out.append(HyperplaneComponent(color, cx, tuple(verts), carrier))
     return out
 
@@ -270,10 +282,8 @@ def graph_of_spaces(cplx, coloring, color):
     for h in edge_spaces:
         sides = []
         for b in (0, 1):
-            vmap = []
-            for w in range(h.complex.vertex_count):
-                u1, u2 = cplx.cubes[1][h.edge_of_vertex[w]]
-                vmap.append(u1 if parity[u1] == b else u2)
+            vmap = [u if parity[u] == b else w for u, w in
+                    map(cplx.cubes[1].__getitem__, h.edge_of_vertex)]
             bset = {space_of_vertex[v] for v in vmap}
             if len(bset) != 1:
                 raise NotFCC("edge space touches several components per side")
@@ -287,10 +297,9 @@ def graph_of_spaces(cplx, coloring, color):
                     continue
                 # side b: the color-axis face on side b ^ parity(corner 0)
                 side = parity[cplx.cubes[k + 1][i][0]] ^ b
-                face = cplx.cubes[k][cplx._faces[k + 1][
-                    2 * (k + 1) * i + 2 * axis_of[k + 1][i] + side]]
-                cube_map[(k, j)] = piece.complex.cube_index(
-                    [piece.vertex_index[v] for v in face])
+                face = cplx._faces[k + 1][
+                    2 * (k + 1) * i + 2 * axis_of[k + 1][i] + side]
+                cube_map[(k, j)] = (k, piece.local_index[k][face])
             sides.append((bi, AttachingMap(b, h, piece, local_vmap, cube_map)))
         base_edges.append((sides[0][0], sides[1][0]))
         attaching.append((sides[0][1], sides[1][1]))

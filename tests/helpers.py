@@ -12,7 +12,7 @@ from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
                          _corner_picker, _face_pickers, canonical_cube,
                          canonical_frame, is_flag, link)
 from foldcc.errors import NotAComplex
-from foldcc.decomposition import HyperplaneComponent
+from foldcc.decomposition import HyperplaneComponent, Subcomplex
 
 
 def brute_force_nonspanning_clique(K):
@@ -106,6 +106,30 @@ def assert_incidence(cplx):
                                       for ax in range(k)]
 
 
+def assert_vertex_set_lookups(cplx):
+    """cube_index names every cube by its vertex set, and edge_index of
+    two vertices that span no edge is None."""
+    for k, level in enumerate(cplx.cubes):
+        for i, cube in enumerate(level):
+            assert cplx.cube_index(reversed(cube)) == (k, i)
+    edges = set(cplx.cubes[1]) if cplx.dim >= 1 else set()
+    u, w = next(((u, w) for u, w in itertools.combinations(
+        range(cplx.vertex_count), 2) if (u, w) not in edges), (0, 0))
+    assert cplx.edge_index(u, w) is None
+
+
+def assert_local_index(parent, piece):
+    """local_index[k] sends each parent k-cube of the piece to the piece's
+    cube on the renumbered corners, and level 0 is vertex_index."""
+    assert piece.local_index[0] is piece.vertex_index
+    assert len(piece.local_index) == len(piece.complex.cubes)
+    for k, index in enumerate(piece.local_index):
+        assert sorted(index.values()) == list(range(piece.complex.n_cubes(k)))
+        for i, j in index.items():
+            assert piece.complex.cubes[k][j] == tuple(
+                piece.vertex_index[v] for v in parent.cubes[k][i])
+
+
 def relabelled(cplx, rng):
     """The complex with its vertices permuted by `rng`, rebuilt from its
     maximal cubes."""
@@ -137,6 +161,18 @@ def reference_restrict(parent, cube_refs):
     return ComponentPiece(cplx, tuple(verts), vmap)
 
 
+def reference_subcomplex_XT(cplx, coloring, T):
+    """subcomplex_XT as it was: one test of every edge of every cube."""
+    T = frozenset(T)
+    refs = [(0, i) for i in range(cplx.vertex_count)]
+    for k in range(1, cplx.dim + 1):
+        table = cplx.axis_edges(k)
+        for i in range(cplx.n_cubes(k)):
+            if all(coloring.of_edge(e) in T for e in table[k * i:k * i + k]):
+                refs.append((k, i))
+    return Subcomplex(cplx, T, tuple(refs))
+
+
 def reference_color_axis(cplx, coloring, k, i, color):
     for ax in range(k):
         cube = cplx.cubes[k][i]
@@ -145,19 +181,24 @@ def reference_color_axis(cplx, coloring, k, i, color):
     return None
 
 
+def midcube_corners(cplx, k, i, axis):
+    """Edge indices of the midcube of cube (k, i) across `axis`, in the
+    carrier's corner order."""
+    cube, rest = cplx.cubes[k][i], [ax for ax in range(k) if ax != axis]
+    corners = []
+    for b in range(1 << (k - 1)):
+        p = sum(1 << ax for j, ax in enumerate(rest) if (b >> j) & 1)
+        corners.append(cplx.edge_index(cube[p], cube[p | (1 << axis)]))
+    return tuple(corners)
+
+
 def reference_hyperplanes(cplx, coloring, color):
     mids = []   # (parent ref, midcube corner tuple of parent edge indices)
     for k in range(1, cplx.dim + 1):
-        for i, cube in enumerate(cplx.cubes[k]):
+        for i in range(cplx.n_cubes(k)):
             axis = reference_color_axis(cplx, coloring, k, i, color)
-            if axis is None:
-                continue
-            rest = [ax for ax in range(k) if ax != axis]
-            corners = []
-            for b in range(1 << (k - 1)):
-                p = sum(1 << ax for j, ax in enumerate(rest) if (b >> j) & 1)
-                corners.append(cplx.edge_index(cube[p], cube[p | (1 << axis)]))
-            mids.append(((k, i), tuple(corners)))
+            if axis is not None:
+                mids.append(((k, i), midcube_corners(cplx, k, i, axis)))
     ds = DisjointSet(cplx.n_cubes(1))
     for ref, corners in mids:
         if len(corners) == 2:

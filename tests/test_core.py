@@ -17,10 +17,10 @@ from foldcc.folding import find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                standard_sphere, torus_grid)
 
-from helpers import (assert_incidence, assert_same_complex,
-                     brute_force_nonspanning_clique, cube_face,
-                     reference_face_closure, reference_flag_witness,
-                     reference_restrict, relabelled)
+from helpers import (assert_incidence, assert_local_index,
+                     assert_same_complex, brute_force_nonspanning_clique,
+                     cube_face, reference_face_closure,
+                     reference_flag_witness, reference_restrict, relabelled)
 
 SQUARE = "cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n"
 
@@ -417,6 +417,7 @@ class TestRestrictComplex:
         assert_same_complex(got.complex, want.complex)
         assert got.to_parent == want.to_parent
         assert list(got.vertex_index.items()) == list(want.vertex_index.items())
+        assert_local_index(cplx, got)
         assert_incidence(got.complex)
 
     def test_a_set_that_is_not_face_closed_is_refused(self):
@@ -685,7 +686,10 @@ class TestLinkConsequences:
 
 class TestComponents:
     def test_connected_torus(self):
-        assert len(components(torus_grid((4, 4)))) == 1
+        cplx = torus_grid((4, 4))
+        parts = components(cplx)
+        assert len(parts) == 1
+        assert_local_index(cplx, parts[0])
 
     def test_two_disjoint_squares(self):
         cplx = CubicalComplex.from_maximal_cubes(
@@ -696,6 +700,7 @@ class TestComponents:
             assert piece.complex.cell_counts() == (4, 4, 1)
             for new, old in enumerate(piece.to_parent):
                 assert piece.vertex_index[old] == new
+            assert_local_index(cplx, piece)
 
     def test_component_complexes_round_trip(self):
         cplx = CubicalComplex.from_maximal_cubes(

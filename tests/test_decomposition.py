@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foldcc import decomposition
-from foldcc.core import CubicalComplex, is_flag, link, validate_fcc
+from foldcc.core import (CubicalComplex, canonical_frame, is_flag, link,
+                         validate_fcc)
 from foldcc.decomposition import (count_identity_holds, direction_parity,
                                   graph_of_spaces, hyperplanes, is_covering,
                                   subcomplex_XT)
@@ -15,9 +16,12 @@ from foldcc.folding import EdgeColoring, coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                torus_grid)
 
-from helpers import (assert_incidence, assert_same_complex,
+from helpers import (assert_incidence, assert_local_index,
+                     assert_same_complex, assert_vertex_set_lookups,
+                     midcube_corners, reference_color_axis,
                      reference_cube_map, reference_hyperplanes,
-                     reference_restrict, relabelled)
+                     reference_restrict, reference_subcomplex_XT,
+                     relabelled)
 
 
 def colored(cplx):
@@ -264,12 +268,14 @@ REFERENCE_BASES = [cycle_graph(6), torus_grid((4, 4)), torus_grid((4, 6)),
 
 
 def assert_matches_the_references(cplx, coloring):
-    """Vertex spaces for every T, hyperplane components and attaching maps
-    for every color, against the builds through face closure."""
+    """X_T and its vertex spaces for every T, hyperplane components and
+    attaching maps for every color, against the per-cube X_T and the
+    builds through face closure."""
     n = coloring.n
     for r in range(1, n + 1):
         for T in itertools.combinations(range(1, n + 1), r):
             sub = subcomplex_XT(cplx, coloring, T)
+            assert sub.refs == reference_subcomplex_XT(cplx, coloring, T).refs
             got = sub.components()
             with mock.patch.object(decomposition, "restrict_complex",
                                    reference_restrict):
@@ -279,7 +285,9 @@ def assert_matches_the_references(cplx, coloring):
                 assert_same_complex(piece.complex, ref.complex)
                 assert piece.to_parent == ref.to_parent
                 assert piece.vertex_index == ref.vertex_index
+                assert_local_index(cplx, piece)
                 assert_incidence(piece.complex)
+                assert_vertex_set_lookups(piece.complex)
     for color in range(1, n + 1):
         got = hyperplanes(cplx, coloring, color)
         want = reference_hyperplanes(cplx, coloring, color)
@@ -290,9 +298,13 @@ def assert_matches_the_references(cplx, coloring):
             # insertion order too: levels >= 1 first, then level 0
             assert list(h.carrier.items()) == list(ref.carrier.items())
             assert_incidence(h.complex)
+            assert_vertex_set_lookups(h.complex)
         if cplx.dim < 2:
             continue
         gos = graph_of_spaces(cplx, coloring, color)
+        # only cube_index and edge_index build a piece's vertex-set map
+        for space in gos.vertex_spaces + gos.edge_spaces:
+            assert "_by_vset" not in vars(space.complex)
         parity = direction_parity(cplx, coloring, color)
         for g0, g1 in gos.attaching:
             for g in (g0, g1):
@@ -305,16 +317,33 @@ def assert_matches_the_references(cplx, coloring):
                     cplx, coloring, color, parity, h, g.side, piece).items())
 
 
+def assert_frames_read_off_the_carriers(cplx, coloring):
+    """Every midcube's frame from its canonical carrier is the frame
+    canonical_frame finds: p0 = 0, and the same axes."""
+    for color in range(1, coloring.n + 1):
+        for k in range(2, cplx.dim + 1):
+            for i in range(cplx.n_cubes(k)):
+                axis = reference_color_axis(cplx, coloring, k, i, color)
+                if axis is not None:
+                    corners = midcube_corners(cplx, k, i, axis)
+                    assert canonical_frame(corners) == (
+                        0, decomposition._midcube_axes(corners))
+
+
 class TestAgainstTheClosureReferences:
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(REFERENCE_BASES),
            st.randoms(use_true_random=False))
     def test_relabelled_corpus_complexes(self, base, rng):
-        assert_matches_the_references(*colored(relabelled(base, rng)))
+        cplx, coloring = colored(relabelled(base, rng))
+        assert_matches_the_references(cplx, coloring)
+        assert_frames_read_off_the_carriers(cplx, coloring)
 
     def test_relabelled_hemispherex(self, x_hemispherex):
-        cplx = relabelled(x_hemispherex.complex, random.Random(8))
-        assert_matches_the_references(*colored(cplx))
+        cplx, coloring = colored(relabelled(x_hemispherex.complex,
+                                            random.Random(8)))
+        assert_matches_the_references(cplx, coloring)
+        assert_frames_read_off_the_carriers(cplx, coloring)
 
     def test_the_decomposition_builds_no_closure(self, torus44, monkeypatch):
         # pieces and hyperplane components reindex the parent's tables

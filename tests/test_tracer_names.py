@@ -29,3 +29,23 @@ def test_every_wrapped_name_resolves():
                 assert callable(getattr(MODULES[modname], name)), (modname, name)
     assert callable(core.CubicalComplex.faces)
     assert callable(core.CubicalComplex.from_maximal_cubes)
+
+
+def test_graph_of_spaces_calls_the_timed_layers_once(monkeypatch):
+    # the tracer times subcomplex_XT and hyperplanes by rebinding them in
+    # every module; a graph of spaces that bypassed them would read 0 there
+    import foldcc
+    from foldcc.folding import coloring_from, find_folding
+    from foldcc.generators import torus_grid
+    trace = load_tracer().Trace()
+    for name in ("subcomplex_XT", "hyperplanes"):
+        orig = getattr(decomposition, name)
+        wrapped = trace.counted("decomposition." + name, orig)
+        for mod in [foldcc] + list(MODULES.values()):
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, wrapped)
+    cplx = torus_grid((4, 4, 4))
+    decomposition.graph_of_spaces(cplx, coloring_from(find_folding(cplx)), 2)
+    assert trace.counts == {"decomposition.subcomplex_XT": [1],
+                            "decomposition.hyperplanes": [1]}
