@@ -127,8 +127,7 @@ def cmd_rank(args):
     if mode == "--dim3":
         report = rank.detect_rank3(cplx, diagnostics=args.diagnostics)
     else:
-        report = rank.detect_rank_general(
-            cplx, length_cap=args.length_cap, diagnostics=args.diagnostics)
+        report = rank.detect_rank_general(cplx, diagnostics=args.diagnostics)
     if args.out and report.witness_path is not None:
         _write(args.out, geodesic.serialize_path(report.witness_path))
     sys.stdout.write(report.render())
@@ -263,7 +262,6 @@ def build_parser():
                       const="--dim3")
     mode.add_argument("--general", dest="mode", action="store_const",
                       const="--general")
-    p.add_argument("--length-cap", type=int, default=None)
     p.add_argument("--diagnostics", action="store_true")
     p.add_argument("--out", help="file for the witness path")
     p.set_defaults(func=cmd_rank, mode=None)

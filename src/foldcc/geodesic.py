@@ -217,6 +217,31 @@ def _check_graph(edge_list, require_not_circle=True):
     return adj
 
 
+def _bfs_walk(first, succ, goal):
+    # shortest walk (a list of nodes) from a node of `first` along succ to
+    # a goal node, ties broken by queue order; None if there is none
+    prev = dict.fromkeys(first)
+    queue = deque(first)
+    while queue:
+        x = queue.popleft()
+        if goal(x):
+            walk = [x]
+            while prev[walk[-1]] is not None:
+                walk.append(prev[walk[-1]])
+            return walk[::-1]
+        for y in succ(x):
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    return None
+
+
+def _forward(edge_list, adj):
+    # the non-backtracking successors of an oriented ref
+    return lambda ref: [nxt for nxt in adj.get(_head(edge_list, ref), ())
+                        if nxt != (ref[0], 1 - ref[1])]
+
+
 def connector_walk(edge_list, e1, e2):
     """Lemma-backed connector in a multigraph.
 
@@ -225,35 +250,15 @@ def connector_walk(edge_list, e1, e2):
     e1 to the head of e2 such that reverse(e2) * c * e1 is non-backtracking
     at every junction; ties break on canonical edge order.
     """
-    adj = _check_graph(edge_list)
-    start_v = _head(edge_list, e1)
+    succ = _forward(edge_list, _check_graph(edge_list))
     goal_v = _head(edge_list, e2)
-    rev1 = (e1[0], 1 - e1[1])
-    if start_v == goal_v and e1 != e2:
+    if _head(edge_list, e1) == goal_v and e1 != e2:
         return []
-    prev = {}
-    queue = deque()
-    for ref in adj.get(start_v, ()):
-        if ref != rev1:
-            prev[ref] = None
-            queue.append(ref)
-    while queue:
-        ref = queue.popleft()
-        if _head(edge_list, ref) == goal_v and ref != e2:
-            walk = []
-            cur = ref
-            while cur is not None:
-                walk.append(cur)
-                cur = prev[cur]
-            walk.reverse()
-            return walk
-        h = _head(edge_list, ref)
-        rev = (ref[0], 1 - ref[1])
-        for nxt in adj.get(h, ()):
-            if nxt != rev and nxt not in prev:
-                prev[nxt] = ref
-                queue.append(nxt)
-    raise ConstructionFailed("no connector walk exists (valence-1 vertex?)")
+    walk = _bfs_walk(succ(e1), succ, lambda ref: (
+        _head(edge_list, ref) == goal_v and ref != e2))
+    if walk is None:
+        raise ConstructionFailed("no connector walk exists (valence-1 vertex?)")
+    return walk
 
 
 def loop_at_vertex(edge_list, v):
@@ -262,35 +267,14 @@ def loop_at_vertex(edge_list, v):
     adj = _check_graph(edge_list, require_not_circle=False)
     if v not in adj:
         raise ConstructionFailed("vertex %d has no edges" % v)
-    best = None
-    for start in adj[v]:
-        rev_start = (start[0], 1 - start[1])
-        prev = {start: None}
-        queue = deque([start])
-        found = None
-        while queue:
-            ref = queue.popleft()
-            if _head(edge_list, ref) == v and ref != rev_start:
-                found = ref
-                break
-            h = _head(edge_list, ref)
-            rev = (ref[0], 1 - ref[1])
-            for nxt in adj.get(h, ()):
-                if nxt != rev and nxt not in prev:
-                    prev[nxt] = ref
-                    queue.append(nxt)
-        if found is not None:
-            walk = []
-            cur = found
-            while cur is not None:
-                walk.append(cur)
-                cur = prev[cur]
-            walk.reverse()
-            if best is None or len(walk) < len(best):
-                best = walk
-    if best is None:
+    succ = _forward(edge_list, adj)
+    walks = [_bfs_walk([start], succ, lambda ref: (
+        _head(edge_list, ref) == v and ref != (start[0], 1 - start[1])))
+        for start in adj[v]]
+    walks = [walk for walk in walks if walk is not None]
+    if not walks:
         raise ConstructionFailed("no closed loop through vertex %d" % v)
-    return best
+    return min(walks, key=len)
 
 
 def _walk_to_path(edge_list, walk, base, closed):
@@ -364,6 +348,80 @@ def rank_one_certificate(cplx, coloring, path):
     if not ok:
         return False
     return path.color_set(coloring) == set(range(1, coloring.n + 1))
+
+
+def all_color_turn_cycle(cplx, coloring):
+    """A closed local geodesic using every color, or None if none exists.
+
+    Closed local geodesics are the closed walks of the turn graph, whose
+    nodes are the oriented edges (x = 2e + flip for the ref (e, flip)) and
+    whose arcs (u->v) -> (v->w) have w != u and no square on u, w at v.
+    So one uses every color iff a strongly connected component with an arc
+    does.  Kosaraju's passes are iterative; reversal x -> x ^ 1 maps the
+    graph onto its transpose, so pass two needs no second adjacency.  The
+    witness walks from the least color-1 node of such a component to the
+    nearest node of each missing color in turn, then back.
+    """
+    edges = cplx.cubes[1] if cplx.dim >= 1 else ()
+    colors = [coloring.of_edge(e) for e in range(len(edges))]
+    out = [[] for _ in range(cplx.vertex_count)]
+    for e, (u, w) in enumerate(edges):
+        out[u].append((w, 2 * e))
+        out[w].append((u, 2 * e + 1))
+    link = [cplx.link_adj(v) for v in range(cplx.vertex_count)]
+
+    def turns(x):
+        u, v = edges[x >> 1]
+        if x & 1:
+            u, v = v, u
+        square = link[v].get(u, ())
+        return [y for w, y in out[v] if w != u and w not in square]
+
+    nodes = range(2 * len(edges))
+    finished, seen = [], bytearray(len(nodes))
+    for root in nodes:
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            if x < 0:
+                finished.append(~x)
+            elif not seen[x]:
+                seen[x] = 1
+                stack.append(~x)
+                stack.extend(y for y in turns(x) if not seen[y])
+    comp, masks = [-1] * len(nodes), []
+    for root in reversed(finished):
+        if comp[root] < 0:
+            comp[root], todo, mask = len(masks), [root], 0
+            while todo:
+                x = todo.pop()
+                mask |= 1 << colors[x >> 1]
+                for y in turns(x ^ 1):
+                    if comp[y ^ 1] < 0:
+                        comp[y ^ 1] = comp[root]
+                        todo.append(y ^ 1)
+            masks.append(mask)
+    full = (1 << (coloring.n + 1)) - 2
+    start = next((x for x in nodes if colors[x >> 1] == 1
+                  and masks[comp[x]] == full
+                  and any(comp[y] == comp[x] for y in turns(x))), None)
+    if start is None:
+        return None
+
+    def inside(x):
+        return [y for y in turns(x) if comp[y] == comp[start]]
+
+    walk = [start]
+    for k in range(2, coloring.n + 1):
+        if k not in {colors[x >> 1] for x in walk}:
+            walk += _bfs_walk(inside(walk[-1]), inside,
+                              lambda y: colors[y >> 1] == k)
+    walk += _bfs_walk(inside(walk[-1]), inside, start.__eq__)[:-1]
+    path = _walk_to_path(edges, [divmod(x, 2) for x in walk],
+                         _tail(edges, divmod(start, 2)), closed=True)
+    if not rank_one_certificate(cplx, coloring, path):
+        raise ConstructionFailed("turn cycle is not a certificate")
+    return path
 
 
 @dataclass

@@ -20,10 +20,13 @@ constructed, in dimension 3 by a complete four-step procedure:
 The theorem behind (d) guarantees the four steps never all fail on a
 valid 3-dimensional input, so an Inconclusive verdict there is a test
 alarm, not a mathematical case.
+
+detect_rank_general replaces step (d), in any dimension, by the exact
+turn-graph test geodesic.all_color_turn_cycle (linear in the turns), so
+there Inconclusive means no closed all-color 1-skeleton geodesic exists.
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 
 from . import geodesic as geo
@@ -46,7 +49,6 @@ class RankReport:
     witness_path: object = None
     certificate: str = None         # "all-colors" | "strict-pi"
     inconclusive_reason: str = None
-    search_cap: int = None
     simv_summary: dict = None       # partition shape -> vertex count
     covering_table: dict = None     # color -> (maps, non-covering)
 
@@ -76,8 +78,6 @@ class RankReport:
                           self.witness_path.vertices()))
         if self.inconclusive_reason is not None:
             pairs.append(("inconclusive.reason", self.inconclusive_reason))
-        if self.search_cap is not None:
-            pairs.append(("search.length_cap", self.search_cap))
         if self.simv_summary is not None:
             for shape in sorted(self.simv_summary):
                 pairs.append(("simv.shape.%s" % "+".join(map(str, shape)),
@@ -269,7 +269,7 @@ def detect_rank3(cplx, folding=None, assume_fcc=False, diagnostics=False):
     return report
 
 
-def _detect(cplx, folding, coloring, complete, length_cap=None):
+def _detect(cplx, folding, coloring, complete):
     n = coloring.n
     bips, strict = _cross_pairs(cplx, coloring)
     if bips:
@@ -288,87 +288,30 @@ def _detect(cplx, folding, coloring, complete, length_cap=None):
                           witness_path=path, certificate="all-colors")
     if complete and n == 3:
         path = _step_d_search(cplx, coloring)
-        if path is not None:
-            return RankReport("rank-one", cplx.dim, folding, coloring,
-                              witness_path=path, certificate="all-colors")
-        return RankReport("inconclusive", cplx.dim, folding, coloring,
-                          inconclusive_reason="theorem violation")
-    cap = length_cap
-    if cap is None:
-        cap = 4 * n * _diameter(cplx)
-    path = _bounded_search(cplx, coloring, cap)
+        reason = "theorem violation"
+    else:
+        path = geo.all_color_turn_cycle(cplx, coloring)
+        reason = "no closed all-color 1-skeleton geodesic"
     if path is not None:
         return RankReport("rank-one", cplx.dim, folding, coloring,
                           witness_path=path, certificate="all-colors")
     return RankReport("inconclusive", cplx.dim, folding, coloring,
-                      inconclusive_reason="bounded search exhausted",
-                      search_cap=cap)
+                      inconclusive_reason=reason)
 
 
 def detect_rank_general(cplx, folding=None, assume_fcc=False,
-                        length_cap=None, diagnostics=False):
+                        diagnostics=False):
     """Rank analysis in any dimension: the splitting test and the two
-    sufficient rank-one constructions, then a bounded exhaustive search.
+    sufficient rank-one constructions, then the exact turn-graph test for
+    a closed 1-skeleton geodesic using every color.
 
-    Completeness is only guaranteed in dimension <= 3; Inconclusive
-    reports the length cap that was exhausted.
+    Inconclusive means that no bipartition splits and no such geodesic
+    exists, which cannot happen in dimension <= 3.
     """
     folding, coloring = _prepare(cplx, folding, assume_fcc)
-    report = _detect(cplx, folding, coloring, complete=False,
-                     length_cap=length_cap)
+    report = _detect(cplx, folding, coloring, complete=False)
     if diagnostics:
         report.simv_summary = _simv_census(cplx, coloring)
         if cplx.dim >= 2:
             report.covering_table = _covering_table(cplx, coloring)
     return report
-
-
-def _diameter(cplx):
-    best = 0
-    for v in range(cplx.vertex_count):
-        dist = {v: 0}
-        queue = deque([v])
-        far = 0
-        while queue:
-            u = queue.popleft()
-            for w in cplx.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    far = max(far, dist[w])
-                    queue.append(w)
-        best = max(best, far)
-    return best
-
-
-def _bounded_search(cplx, coloring, cap):
-    # non-backtracking DFS over oriented edges for a closed local geodesic
-    # covering all colors, canonical order, depth-capped
-    n = coloring.n
-    full = frozenset(range(1, n + 1))
-    bad = (DistanceClass.ZERO, DistanceClass.QUARTER)
-
-    for e in range(cplx.n_cubes(1)):
-        base, first = cplx.cubes[1][e]
-        for start in (OrientedEdge(base, first), OrientedEdge(first, base)):
-            stack = [(start, frozenset((coloring.of_edge(e),)), (start,))]
-            while stack:
-                cur, colors, steps = stack.pop()
-                if len(steps) >= 2 and cur.head == start.tail and colors == full:
-                    junction = geo.distance_class(
-                        cplx, start.tail, cur.tail, start.head)
-                    if junction not in bad:
-                        path = geo.EdgePath(start.tail, steps, closed=True)
-                        ok, _ = geo.is_local_geodesic(cplx, path)
-                        if ok:
-                            return path
-                if len(steps) >= cap:
-                    continue
-                for w in reversed(cplx.neighbors(cur.head)):
-                    if geo.distance_class(cplx, cur.head, cur.tail, w) in bad:
-                        continue
-                    nxt = OrientedEdge(cur.head, w)
-                    stack.append(
-                        (nxt,
-                         colors | {coloring.of_pair(cur.head, w)},
-                         steps + (nxt,)))
-    return None

@@ -181,7 +181,9 @@ class TestRankVerifiesOnce:
 class TestUsageErrors:
     # argparse's own exit code 2 would read as rank's "inconclusive"
     @pytest.mark.parametrize("argv", [["rank"], ["nosuch", "x.cplx"],
-                                      ["geodesic", "x.cplx", "--from", "a"]])
+                                      ["geodesic", "x.cplx", "--from", "a"],
+                                      ["rank", "x.cplx", "--general",
+                                       "--length-cap", "5"]])
     def test_usage_error_exits_64(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 64

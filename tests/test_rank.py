@@ -1,15 +1,17 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foldcc import rank
 from foldcc.core import CubicalComplex
 from foldcc.errors import NotDim3, NotFCC
-from foldcc.folding import coloring_from, find_folding
+from foldcc.folding import EdgeColoring, coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                torus_grid)
-from foldcc.geodesic import rank_one_certificate
-from foldcc.rank import (_bounded_search, _step_d_search, detect_rank3,
-                         detect_rank_general, splitting_bipartitions,
-                         verify_bipartition)
+from foldcc.geodesic import all_color_turn_cycle, rank_one_certificate
+from foldcc.rank import (_step_d_search, detect_rank3, detect_rank_general,
+                         splitting_bipartitions, verify_bipartition)
 
 
 class TestSplittingBipartitions:
@@ -116,16 +118,77 @@ class TestDetectGeneral:
         assert report4.verdict == "split"
         assert len(report4.all_bipartitions) == 7
 
-    def test_bounded_search_finds_graph_loop(self, corpus1):
+    def test_turn_cycle_finds_graph_loop(self, corpus1):
         entry = corpus1[1]  # C6
-        path = _bounded_search(entry.complex, entry.coloring, cap=12)
-        assert path is not None
+        path = all_color_turn_cycle(entry.complex, entry.coloring)
+        assert path.vertices() == [0, 1, 2, 3, 4, 5, 0]
         assert rank_one_certificate(entry.complex, entry.coloring, path)
 
-    def test_bounded_search_exhausts_on_flat_torus(self, torus44):
+    def test_turn_cycle_absent_on_flat_torus(self, torus44):
         # straight lines are the only local geodesics in a grid torus, so
         # no closed path covers both colors
-        assert _bounded_search(torus44.complex, torus44.coloring, cap=16) is None
+        assert all_color_turn_cycle(torus44.complex, torus44.coloring) is None
+
+    def test_turn_cycle_reached_past_step_c(self, corpus1, monkeypatch):
+        monkeypatch.setattr(rank, "_single_class_vertex",
+                            lambda cplx, coloring: (None, None))
+        entry = corpus1[1]  # C6
+        report = detect_rank_general(entry.complex, folding=entry.folding,
+                                     assume_fcc=True)
+        assert report.verdict == "rank-one"
+        assert report.certificate == "all-colors"
+        assert rank_one_certificate(entry.complex, entry.coloring,
+                                    report.witness_path)
+
+    def test_no_turn_cycle_is_inconclusive(self, torus44, monkeypatch):
+        # with no splitting bipartition offered, the flat torus falls
+        # through to the turn-graph test, which finds nothing
+        monkeypatch.setattr(rank, "_cross_pairs",
+                            lambda cplx, coloring: ([], None))
+        report = detect_rank_general(torus44.complex, folding=torus44.folding,
+                                     assume_fcc=True)
+        assert report.verdict == "inconclusive"
+        assert report.exit_code() == 2
+        assert (report.inconclusive_reason
+                == "no closed all-color 1-skeleton geodesic")
+        text = report.render()
+        assert "inconclusive.reason = no closed all-color 1-skeleton" in text
+        assert "search." not in text
+
+
+class TestTurnCycle:
+    def test_decides_the_corpus_in_every_dimension(self, corpus_all):
+        # an all-color strongly connected turn component exists iff the
+        # dispatcher says rank-one, on both sides of the dichotomy, with
+        # two split dimension-4 complexes as controls.  In dimension 3,
+        # test_criterion_4_dichotomy_completeness pins the dispatcher's
+        # verdict to `expect`, so it is not recomputed here
+        cases = [(e.complex, e.folding, e.expect) for e in corpus_all]
+        cases += [(cplx, find_folding(cplx), None) for cplx in (
+            torus_grid((4, 4, 4, 4)),
+            product(_double_arc_X(), torus_grid((4, 4))))]
+        for cplx, folding, verdict in cases:
+            if cplx.dim != 3:
+                verdict = detect_rank_general(cplx, folding=folding,
+                                              assume_fcc=True).verdict
+            coloring = coloring_from(folding)
+            path = all_color_turn_cycle(cplx, coloring)
+            assert (path is not None) == (verdict == "rank-one"), cplx
+            if path is not None:
+                assert rank_one_certificate(cplx, coloring, path)
+
+    def test_long_cycle_needs_no_recursion(self):
+        # each orientation of the cycle is one turn component with more
+        # nodes than the recursion limit.  A graph folds onto one edge, so
+        # its coloring is written down: find_folding's merge loop is
+        # quadratic in the 20,000 parallel classes
+        k = 20000
+        assert k > sys.getrecursionlimit()
+        cplx = cycle_graph(k)
+        coloring = EdgeColoring(cplx, 1, (1,) * cplx.n_cubes(1))
+        path = all_color_turn_cycle(cplx, coloring)
+        assert len(path) == k
+        assert rank_one_certificate(cplx, coloring, path)
 
 
 class TestWitnessSoundness:
@@ -175,6 +238,8 @@ class TestRelabelling:
         detect = detect_rank3 if cplx.dim == 3 else detect_rank_general
         report = detect(cplx)
         assert report.verdict == expect
+        turn_cycle = all_color_turn_cycle(cplx, report.coloring)
+        assert (turn_cycle is not None) == (expect == "rank-one")
         if expect == "rank-one":
             assert rank_one_certificate(cplx, report.coloring,
                                         report.witness_path)
