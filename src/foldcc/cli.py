@@ -18,8 +18,7 @@ import os
 import sys
 
 from . import core, decomposition, generators, geodesic, rank
-from .errors import (ConstructionFailed, FoldccError, NotAComplex,
-                     ParseError, UnknownVertex)
+from .errors import ConstructionFailed, FoldccError, NotAComplex, ParseError
 from .folding import (NotFoldable, coloring_from, find_folding,
                       serialize_folding)
 
@@ -137,8 +136,6 @@ def cmd_rank(args):
 def cmd_geodesic(args):
     cplx, coloring = _colored(args.file)
     v = args.from_vertex
-    if not (0 <= v < cplx.vertex_count):
-        raise UnknownVertex("vertex %d" % v)
     simv = geodesic.sim_v_classes(cplx, coloring, v)
     pairs = [("vertex", v), ("classes", len(simv.partition))]
     for j, part in enumerate(simv.partition):

@@ -30,6 +30,7 @@ that generated files round-trip byte-identically.
 
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -231,7 +232,7 @@ class CubicalComplex:
 
     Immutable after construction; derived tables are cached lazily and all
     queries are pure.  A complex that reindexes another's tables (`by_vset`
-    None) builds the map behind `cube_index`/`edge_index` on first use.
+    None) builds the map behind `cube_index` on first use.
     """
 
     def __init__(self, vertex_count, cubes_by_dim, by_vset, face_table,
@@ -247,7 +248,6 @@ class CubicalComplex:
         # in axis/side order
         self._faces = face_table
         self._adj = None
-        self._link_adj = None
         self._star = None
         self._cofaces = None
         self._n_cofaces = None
@@ -381,10 +381,13 @@ class CubicalComplex:
         return self._adj[v]
 
     def edge_index(self, u, w):
-        ref = self._by_vset.get(frozenset((u, w)))
-        if ref is None or ref[0] != 1:
+        if not 0 <= u < self.vertex_count:
             return None
-        return ref[1]
+        nbrs = self.neighbors(u)
+        j = bisect_left(nbrs, w)
+        if j < len(nbrs) and nbrs[j] == w:
+            return self._directions[0][u][j]
+        return None
 
     def axis_edges(self, k):
         """Edge index of each axis at corner 0 of every k-cube, flat: entry
@@ -402,24 +405,34 @@ class CubicalComplex:
                 table += [below[f1]] + below[f0:f0 + j]
         return table
 
-    def link_adj(self, v):
-        """Directions at v adjacent in the link: w -> set of w' spanning a
-        square with w at v."""
-        if self._link_adj is None:
-            tables = [dict() for _ in range(self.vertex_count)]
-            if len(self.cubes) > 2:
-                for c0, c1, c2, c3 in self.cubes[2]:
-                    for v0, a, b in ((c0, c1, c2), (c1, c0, c3),
-                                     (c2, c0, c3), (c3, c1, c2)):
-                        t = tables[v0]
-                        t.setdefault(a, set()).add(b)
-                        t.setdefault(b, set()).add(a)
-            self._link_adj = tables
-        return self._link_adj[v]
+    @cached_property
+    def _directions(self):
+        # per vertex: the edge index of each neighbour, and a dict from each
+        # neighbour to its link mask (bit j for the j-th neighbour)
+        bit = [{w: 1 << j for j, w in enumerate(self.neighbors(v))}
+               for v in range(self.vertex_count)]
+        edges = [[0] * len(bits) for bits in bit]
+        for e, (u, w) in enumerate(self.cubes[1] if len(self.cubes) > 1 else ()):
+            edges[u][bit[u][w].bit_length() - 1] = e
+            edges[w][bit[w][u].bit_length() - 1] = e
+        masks = [dict.fromkeys(bits, 0) for bits in bit]
+        for c0, c1, c2, c3 in self.cubes[2] if len(self.cubes) > 2 else ():
+            for v0, a, b in ((c0, c1, c2), (c1, c0, c3), (c2, c0, c3),
+                             (c3, c1, c2)):
+                masks[v0][a] |= bit[v0][b]
+                masks[v0][b] |= bit[v0][a]
+        return edges, masks
 
-    def spans_square(self, v, a, b):
-        """True iff the edges v-a and v-b are two sides of a square."""
-        return b in self.link_adj(v).get(a, ())
+    def directions(self, v):
+        """The direction table at v: (neighbours in increasing order, the
+        edge index of each, a dict from each neighbour to its link mask).
+        Direction j is the j-th neighbour; bit j of a link mask is set iff
+        direction j spans a square with that direction at v.  Raises
+        UnknownVertex for v outside 0..N-1."""
+        if not 0 <= v < self.vertex_count:
+            raise UnknownVertex("vertex %d" % v)
+        edges, masks = self._directions
+        return self.neighbors(v), edges[v], masks[v]
 
     def star(self, v):
         """Cubes containing v: tuple over dims of lists of (index, position)."""
@@ -786,21 +799,13 @@ def _flag_witness(cplx):
     so the two are one cube.  The generators build complexes that satisfy
     it.  Cofaces of s then add distinct directions, so the test is a
     count: s has as many (k+1)-cofaces as its directions have common link
-    neighbours (a top cube none), on bitmasks: direction j at v (the j-th
-    of `neighbors(v)`) is bit j, each maps to its link neighbours as in
-    `link_adj`.  A vertex that fails the count gets its link built, and
-    `is_flag` confirms it and names the witness.
+    neighbours (a top cube none), an `&` of the link masks of the
+    direction table (`CubicalComplex.directions`).  A vertex that fails
+    the count gets its link built, and `is_flag` confirms it and names
+    the witness.
     """
     n = cplx.vertex_count
-    bit = [{w: 1 << j for j, w in enumerate(cplx.neighbors(v))}
-           for v in range(n)]
-    masks = [dict.fromkeys(bits, 0) for bits in bit]
-    for c0, c1, c2, c3 in cplx.cubes[2] if len(cplx.cubes) > 2 else ():
-        for v0, a, b in ((c0, c1, c2), (c1, c0, c3), (c2, c0, c3),
-                         (c3, c1, c2)):
-            masks[v0][a] |= bit[v0][b]
-            masks[v0][b] |= bit[v0][a]
-    del bit
+    masks = cplx._directions[1]
     suspect = bytearray(n)
     for k in range(2, len(cplx.cubes)):
         counts = cplx._coface_counts(k)

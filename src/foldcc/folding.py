@@ -113,10 +113,12 @@ def _cycle_basis(cplx, classes):
     edges = cplx.cubes[1]
     weights = [1 << c for c in classes.class_of]
     label, off_tree = spanning_forest_labels(cplx.vertex_count, edges, weights)
+    # a repeated vector is in the span already: insert each one once, in
+    # order of first occurrence, for the same echelon form
     pivots = {}
-    for e in off_tree:
-        u, w = edges[e]
-        _insert_pivot(pivots, label[u] ^ label[w] ^ weights[e])
+    for vec in dict.fromkeys(label[edges[e][0]] ^ label[edges[e][1]]
+                             ^ weights[e] for e in off_tree):
+        _insert_pivot(pivots, vec)
     return sorted(pivots.values())
 
 
@@ -404,11 +406,12 @@ def find_folding(cplx):
             for x in conflicts[r]:
                 m |= 1 << x
             masks[r] = m
+        # union(r1, r2) with r1 < r2 keeps r1 a root for its whole row
         for i1, r1 in enumerate(reps):
+            if find(r1) != r1:
+                continue
             for r2 in reps[i1 + 1:]:
-                if find(r1) != r1 or find(r2) != r2:
-                    continue
-                if (masks[r1] >> r2) & 1:
+                if find(r2) != r2 or (masks[r1] >> r2) & 1:
                     continue
                 if _mask_clique(masks[r1] & masks[r2], masks, n - 1):
                     ds.union(r1, r2)

@@ -27,7 +27,6 @@ from .errors import (
     NotConnected,
     NotSingleClass,
     PreconditionFailed,
-    UnknownVertex,
 )
 
 
@@ -102,17 +101,14 @@ def distance_class(cplx, v, a, b):
 
     `a` and `b` are neighbors of `v` naming the oriented edges v->a, v->b.
     """
-    if not (0 <= v < cplx.vertex_count):
-        raise UnknownVertex("vertex %d" % v)
-    nbrs = cplx.neighbors(v)
-    if a not in nbrs or b not in nbrs:
+    nbrs, _, masks = cplx.directions(v)
+    if a not in masks or b not in masks:
         raise MismatchedBase("directions must be neighbors of %d" % v)
     if a == b:
         return DistanceClass.ZERO
-    ladj = cplx.link_adj(v)
-    if b in ladj.get(a, ()):
+    if masks[a] >> nbrs.index(b) & 1:
         return DistanceClass.QUARTER
-    if ladj.get(a) and ladj.get(b) and ladj[a] & ladj[b]:
+    if masks[a] & masks[b]:
         return DistanceClass.PI
     return DistanceClass.MORE_THAN_PI
 
@@ -155,7 +151,9 @@ class TransferMap:
 
 def perpendicular_set(cplx, e):
     """Directions at tail(e) at distance pi/2 from e, sorted."""
-    return tuple(sorted(cplx.link_adj(e.tail).get(e.head, ())))
+    nbrs, _, masks = cplx.directions(e.tail)
+    mask = masks.get(e.head, 0)
+    return tuple(w for j, w in enumerate(nbrs) if mask >> j & 1)
 
 
 def transfer(cplx, e):
@@ -363,19 +361,17 @@ def all_color_turn_cycle(cplx, coloring):
     nearest node of each missing color in turn, then back.
     """
     edges = cplx.cubes[1] if cplx.dim >= 1 else ()
-    colors = [coloring.of_edge(e) for e in range(len(edges))]
-    out = [[] for _ in range(cplx.vertex_count)]
-    for e, (u, w) in enumerate(edges):
-        out[u].append((w, 2 * e))
-        out[w].append((u, 2 * e + 1))
-    link = [cplx.link_adj(v) for v in range(cplx.vertex_count)]
+    colors = coloring.colors
+    table = [cplx.directions(v) for v in range(cplx.vertex_count)]
 
     def turns(x):
         u, v = edges[x >> 1]
         if x & 1:
             u, v = v, u
-        square = link[v].get(u, ())
-        return [y for w, y in out[v] if w != u and w not in square]
+        nbrs, out, masks = table[v]
+        free = ~(masks[u] | 1 << nbrs.index(u))
+        return [2 * e + (v > w) for j, (w, e) in enumerate(zip(nbrs, out))
+                if free >> j & 1]
 
     nodes = range(2 * len(edges))
     finished, seen = [], bytearray(len(nodes))
@@ -443,19 +439,17 @@ def sim_v_classes(cplx, coloring, v):
     n = coloring.n
     ds = DisjointSet(n + 1)
     witnesses = {}
-    nbrs = cplx.neighbors(v)
-    far = (DistanceClass.PI, DistanceClass.MORE_THAN_PI)
-    for ai in range(len(nbrs)):
+    nbrs, edges, masks = cplx.directions(v)
+    colors = [coloring.colors[e] for e in edges]
+    # a pair of distinct directions is at >= pi iff it spans no square
+    for ai, (a, i, mask) in enumerate(zip(nbrs, colors, masks.values())):
         for bi in range(ai + 1, len(nbrs)):
-            a, b = nbrs[ai], nbrs[bi]
-            i = coloring.of_pair(v, a)
-            j = coloring.of_pair(v, b)
-            key = (min(i, j), max(i, j))
-            if key in witnesses:
+            j = colors[bi]
+            key = (i, j) if i <= j else (j, i)
+            if key in witnesses or mask >> bi & 1:
                 continue
-            if distance_class(cplx, v, a, b) in far:
-                witnesses[key] = (a, b) if i <= j else (b, a)
-                ds.union(i, j)
+            witnesses[key] = (a, nbrs[bi]) if i <= j else (nbrs[bi], a)
+            ds.union(i, j)
     partition = tuple(frozenset(g) for g in ds.groups(range(1, n + 1)))
     return SimVClasses(v, partition, witnesses)
 

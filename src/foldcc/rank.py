@@ -34,7 +34,7 @@ from .core import render_report, validate_fcc
 from .decomposition import graph_of_spaces, is_covering, subcomplex_XT
 from .errors import NotDim3, NotFCC
 from .folding import NotFoldable, coloring_from, find_folding
-from .geodesic import DistanceClass, OrientedEdge
+from .geodesic import OrientedEdge
 
 
 @dataclass
@@ -99,19 +99,17 @@ def _cross_pairs(cplx, coloring):
     obstructed = set()
     first_strict = None
     for v in range(cplx.vertex_count):
-        nbrs = cplx.neighbors(v)
-        ladj = cplx.link_adj(v)
-        colors = [coloring.of_pair(v, a) for a in nbrs]
-        for ai, (a, ca) in enumerate(zip(nbrs, colors)):
-            adj_a = ladj.get(a, set())
-            for b, cb in zip(nbrs[ai + 1:], colors[ai + 1:]):
-                if ca == cb or b in adj_a:
+        nbrs, edges, masks = cplx.directions(v)
+        colors = [coloring.colors[e] for e in edges]
+        rows = list(masks.values())
+        for ai, (ca, mask) in enumerate(zip(colors, rows)):
+            for bi in range(ai + 1, len(nbrs)):
+                cb = colors[bi]
+                if ca == cb or mask >> bi & 1:
                     continue
-                obstructed.add((min(ca, cb), max(ca, cb)))
-                if first_strict is None:
-                    adj_b = ladj.get(b, set())
-                    if not (adj_a and adj_b and adj_a & adj_b):
-                        first_strict = (v, a, b)
+                obstructed.add((ca, cb) if ca < cb else (cb, ca))
+                if first_strict is None and not mask & rows[bi]:
+                    first_strict = (v, nbrs[ai], nbrs[bi])
     out = []
     full = set(range(1, coloring.n + 1))
     for r in range(1, coloring.n):
@@ -134,19 +132,21 @@ def splitting_bipartitions(cplx, coloring):
 
 
 def verify_bipartition(cplx, coloring, T, S):
-    """Independent exhaustive re-verification of a splitting witness."""
+    """Independent exhaustive re-verification of a splitting witness: every
+    T-colored and S-colored edge pair at a vertex spans a square, read off
+    the star of each edge (`geodesic.transfer`), not off the direction
+    table that `splitting_bipartitions` scans."""
     T, S = set(T), set(S)
     if T & S or T | S != set(range(1, coloring.n + 1)) or not T or not S:
         return False
     for v in range(cplx.vertex_count):
-        nbrs = cplx.neighbors(v)
-        for a in nbrs:
-            ca = coloring.of_pair(v, a)
-            for b in nbrs:
-                cb = coloring.of_pair(v, b)
-                if ca in T and cb in S:
-                    if geo.distance_class(cplx, v, a, b) is not DistanceClass.QUARTER:
-                        return False
+        ends = [(cplx.cubes[1][i][pos ^ 1], coloring.of_edge(i))
+                for i, pos in cplx.star(v)[1]]
+        for a, ca in ends:
+            if ca in T:
+                square = geo.transfer(cplx, OrientedEdge(v, a)).vertex_map
+                if any(cb in S and b not in square for b, cb in ends):
+                    return False
     return True
 
 
@@ -160,18 +160,14 @@ def _single_class_vertex(cplx, coloring):
 
 
 def _pi_pairs_at(cplx, coloring, v, color_a, color_b):
-    # direction pairs (a of color_a, b of color_b) at exactly pi, in order
-    out = []
-    nbrs = cplx.neighbors(v)
-    for a in nbrs:
-        if coloring.of_pair(v, a) != color_a:
-            continue
-        for b in nbrs:
-            if coloring.of_pair(v, b) != color_b:
-                continue
-            if geo.distance_class(cplx, v, a, b) is DistanceClass.PI:
-                out.append((a, b))
-    return out
+    # direction pairs (a of color_a, b of color_b) at exactly pi, in order:
+    # no square on them, and a common link neighbour
+    nbrs, edges, masks = cplx.directions(v)
+    rows = list(masks.values())
+    colors = [coloring.colors[e] for e in edges]
+    return [(nbrs[i], nbrs[j]) for i, ca in enumerate(colors) if ca == color_a
+            for j, cb in enumerate(colors) if cb == color_b and i != j
+            and not rows[i] >> j & 1 and rows[i] & rows[j]]
 
 
 def _step_d_search(cplx, coloring):

@@ -13,6 +13,7 @@ from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
                          canonical_frame, is_flag, link)
 from foldcc.errors import NotAComplex
 from foldcc.decomposition import HyperplaneComponent, Subcomplex
+from foldcc.geodesic import DistanceClass, SimVClasses
 
 
 def brute_force_nonspanning_clique(K):
@@ -311,12 +312,95 @@ def reference_face_closure(vertex_count, maximal):
     return tuple(cubes_by_dim), found, face_table
 
 
+def reference_link_adj(cplx):
+    """Directions at each vertex adjacent in the link, as sets: per vertex
+    v, w -> set of w' spanning a square with w at v.  The set-based table
+    that the direction table's link masks replaced."""
+    tables = [dict() for _ in range(cplx.vertex_count)]
+    if len(cplx.cubes) > 2:
+        for c0, c1, c2, c3 in cplx.cubes[2]:
+            for v0, a, b in ((c0, c1, c2), (c1, c0, c3),
+                             (c2, c0, c3), (c3, c1, c2)):
+                t = tables[v0]
+                t.setdefault(a, set()).add(b)
+                t.setdefault(b, set()).add(a)
+    return tables
+
+
+def reference_distance_class(link_adj, v, a, b):
+    """distance_class on the set-based table, for directions a, b at v."""
+    if a == b:
+        return DistanceClass.ZERO
+    ladj = link_adj[v]
+    if b in ladj.get(a, ()):
+        return DistanceClass.QUARTER
+    if ladj.get(a) and ladj.get(b) and ladj[a] & ladj[b]:
+        return DistanceClass.PI
+    return DistanceClass.MORE_THAN_PI
+
+
+def reference_sim_v_classes(cplx, coloring, link_adj, v):
+    """sim_v_classes over pairs of directions classified on sets."""
+    n = coloring.n
+    ds = DisjointSet(n + 1)
+    witnesses = {}
+    nbrs = cplx.neighbors(v)
+    far = (DistanceClass.PI, DistanceClass.MORE_THAN_PI)
+    for ai in range(len(nbrs)):
+        for bi in range(ai + 1, len(nbrs)):
+            a, b = nbrs[ai], nbrs[bi]
+            i = coloring.of_pair(v, a)
+            j = coloring.of_pair(v, b)
+            key = (min(i, j), max(i, j))
+            if key in witnesses:
+                continue
+            if reference_distance_class(link_adj, v, a, b) in far:
+                witnesses[key] = (a, b) if i <= j else (b, a)
+                ds.union(i, j)
+    partition = tuple(frozenset(g) for g in ds.groups(range(1, n + 1)))
+    return SimVClasses(v, partition, witnesses)
+
+
+def reference_cross_pairs(cplx, coloring, link_adj):
+    """rank._cross_pairs with set intersections for the link tests."""
+    obstructed = set()
+    first_strict = None
+    for v in range(cplx.vertex_count):
+        nbrs = cplx.neighbors(v)
+        ladj = link_adj[v]
+        colors = [coloring.of_pair(v, a) for a in nbrs]
+        for ai, (a, ca) in enumerate(zip(nbrs, colors)):
+            adj_a = ladj.get(a, set())
+            for b, cb in zip(nbrs[ai + 1:], colors[ai + 1:]):
+                if ca == cb or b in adj_a:
+                    continue
+                obstructed.add((min(ca, cb), max(ca, cb)))
+                if first_strict is None:
+                    adj_b = ladj.get(b, set())
+                    if not (adj_a and adj_b and adj_a & adj_b):
+                        first_strict = (v, a, b)
+    out = []
+    full = set(range(1, coloring.n + 1))
+    for r in range(1, coloring.n):
+        for rest in itertools.combinations(sorted(full - {1}), r - 1):
+            T = {1, *rest}
+            S = full - T
+            if not S:
+                continue
+            if any((min(i, j), max(i, j)) in obstructed
+                   for i in T for j in S):
+                continue
+            out.append((tuple(sorted(T)), tuple(sorted(S))))
+    return out, first_strict
+
+
 def reference_flag_witness(cplx):
     """The flag count on per-direction sets of link neighbours: at every
-    corner of every k-cube, k >= 2, intersect the `link_adj` sets of its k
-    directions and compare the size with the cube's coface count."""
+    corner of every k-cube, k >= 2, intersect the `reference_link_adj`
+    sets of its k directions and compare the size with the cube's coface
+    count."""
     suspect = bytearray(cplx.vertex_count)
-    link_adj = [cplx.link_adj(v) for v in range(cplx.vertex_count)]
+    link_adj = reference_link_adj(cplx)
     for k in range(2, len(cplx.cubes)):
         counts = cplx._coface_counts(k)
         steps = [(p, p ^ 1, [p ^ (1 << ax) for ax in range(1, k)])

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from foldcc import folding as folding_mod
 from foldcc.core import (CubicalComplex, SimplicialComplex, load_complex,
-                         validate_fcc)
+                         spanning_forest_labels, validate_fcc)
 from foldcc.errors import NotHomogeneous
-from foldcc.folding import (Folding, NotFoldable, _odd_crossing_cycle,
+from foldcc.folding import (Folding, NotFoldable, _cycle_basis,
+                            _insert_pivot, _odd_crossing_cycle,
                             _search_directions, coloring_from, find_folding,
                             fold_simplicial, parallel_classes,
                             serialize_folding, verify_folding)
@@ -121,6 +122,21 @@ class TestFindFolding:
     def test_verification_closure_on_corpus(self, corpus_all):
         for entry in corpus_all:
             assert verify_folding(entry.complex, entry.folding)
+
+    def test_cycle_basis_inserts_each_vector_once(self, corpus_all):
+        # the reference inserts every off-tree vector, repeats included
+        cases = [e.complex for e in corpus_all] + [torus_grid((5, 4, 4))]
+        for cplx in cases:
+            classes = parallel_classes(cplx)
+            edges = cplx.cubes[1]
+            weights = [1 << c for c in classes.class_of]
+            label, off_tree = spanning_forest_labels(cplx.vertex_count, edges,
+                                                     weights)
+            pivots = {}
+            for e in off_tree:
+                u, w = edges[e]
+                _insert_pivot(pivots, label[u] ^ label[w] ^ weights[e])
+            assert _cycle_basis(cplx, classes) == sorted(pivots.values())
 
     def test_not_homogeneous_rejected(self):
         # a square with a dangling edge

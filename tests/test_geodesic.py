@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from foldcc import rank
 from foldcc.core import CubicalComplex, load_complex
 from foldcc.errors import (ConstructionFailed, IsCircle, MismatchedBase,
-                           NotClosed, NotSingleClass, PreconditionFailed)
+                           NotClosed, NotSingleClass, PreconditionFailed,
+                           UnknownVertex)
 from foldcc.folding import coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex,
                                origin_direction, product, torus_grid)
@@ -14,7 +17,9 @@ from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
                              perpendicular_set, rank_one_certificate,
                              serialize_path, sim_v_classes, transfer)
 
-from helpers import link_graph_distances
+from helpers import (link_graph_distances, reference_cross_pairs,
+                     reference_distance_class, reference_link_adj,
+                     reference_sim_v_classes, relabelled)
 
 SQUARE = load_complex("cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n")
 
@@ -82,6 +87,73 @@ class TestDistanceClass:
                 for b in nbrs:
                     d = exact.get((a, b))
                     assert distance_class(cplx, v, a, b) is classify_exact(d)
+
+
+def assert_table_matches_sets(cplx, coloring):
+    """The direction table's edges and link masks, and the readers that
+    test bits, agree with the set-based link table."""
+    link_adj = reference_link_adj(cplx)
+    for v in range(cplx.vertex_count):
+        nbrs, edges, masks = cplx.directions(v)
+        assert list(masks) == list(nbrs)
+        assert [cplx.cubes[1][e] for e in edges] == [
+            (min(v, w), max(v, w)) for w in nbrs]
+        for a, mask in masks.items():
+            assert {w for j, w in enumerate(nbrs)
+                    if mask >> j & 1} == link_adj[v].get(a, set())
+            for b in nbrs:
+                assert (distance_class(cplx, v, a, b)
+                        is reference_distance_class(link_adj, v, a, b))
+        assert (sim_v_classes(cplx, coloring, v)
+                == reference_sim_v_classes(cplx, coloring, link_adj, v))
+    assert (rank._cross_pairs(cplx, coloring)
+            == reference_cross_pairs(cplx, coloring, link_adj))
+
+
+TABLE_BASES = [torus_grid((4, 4)), torus_grid((4, 4, 4)), cycle_graph(6),
+               davis_X(hemispherex(1, (1, 1), allow_dim1=True).complex).complex]
+
+
+class TestDirectionTable:
+    def test_corpus_against_the_sets(self, corpus_all):
+        # X(H) itself, not its three twice larger covers, to keep this short
+        for entry in corpus_all:
+            if entry.complex.n_cubes(entry.dim) <= 10240:
+                assert_table_matches_sets(entry.complex, entry.coloring)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(TABLE_BASES), st.randoms(use_true_random=False))
+    def test_relabelled_bases_against_the_sets(self, base, rng):
+        cplx = relabelled(base, rng)
+        assert_table_matches_sets(cplx, coloring_from(find_folding(cplx)))
+
+
+class TestUnknownVertex:
+    # the vertex range is checked once, where the direction table is read
+    @pytest.mark.parametrize("v", [-1, 64])
+    def test_table_readers_refuse(self, v):
+        cplx = torus_grid((4, 4, 4))
+        coloring = coloring_from(find_folding(cplx))
+        assert cplx.vertex_count == 64
+        with pytest.raises(UnknownVertex):
+            sim_v_classes(cplx, coloring, v)
+        with pytest.raises(UnknownVertex):
+            build_all_color_geodesic(cplx, coloring, v, {1})
+        with pytest.raises(UnknownVertex):
+            perpendicular_set(cplx, OrientedEdge(v, 0))
+        with pytest.raises(UnknownVertex):
+            distance_class(cplx, v, 0, 1)
+
+    def test_edge_lookups_stay_none(self):
+        cplx = torus_grid((4, 4, 4))
+        coloring = coloring_from(find_folding(cplx))
+        w = cplx.neighbors(63)[0]
+        for u in (-1, 64):
+            assert cplx.edge_index(u, w) is None
+            with pytest.raises(KeyError):
+                coloring.of_pair(u, w)
+        with pytest.raises(KeyError):
+            coloring.of_pair(0, 63)
 
 
 class TestLocalGeodesic:
@@ -190,8 +262,9 @@ class TestLemmaTwoLink:
                         if i == j:
                             continue
                         for x in others:
-                            assert cplx.spans_square(v, x, dirs[0])
-                            assert cplx.spans_square(v, x, dirs[1])
+                            for d in dirs:
+                                assert (distance_class(cplx, v, x, d)
+                                        is DistanceClass.QUARTER)
 
     def test_pi_pair_forces_three_directions(self, corpus2):
         # contrapositive: a cross-color pair at >= pi means the same-color

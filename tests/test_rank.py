@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from foldcc import rank
 from foldcc.core import CubicalComplex
 from foldcc.errors import NotDim3, NotFCC
-from foldcc.folding import EdgeColoring, coloring_from, find_folding
+from foldcc.folding import coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                torus_grid)
 from foldcc.geodesic import all_color_turn_cycle, rank_one_certificate
@@ -179,13 +179,12 @@ class TestTurnCycle:
 
     def test_long_cycle_needs_no_recursion(self):
         # each orientation of the cycle is one turn component with more
-        # nodes than the recursion limit.  A graph folds onto one edge, so
-        # its coloring is written down: find_folding's merge loop is
-        # quadratic in the 20,000 parallel classes
+        # nodes than the recursion limit.  A graph folds onto one edge
         k = 20000
         assert k > sys.getrecursionlimit()
         cplx = cycle_graph(k)
-        coloring = EdgeColoring(cplx, 1, (1,) * cplx.n_cubes(1))
+        coloring = coloring_from(find_folding(cplx))
+        assert coloring.colors == (1,) * cplx.n_cubes(1)
         path = all_color_turn_cycle(cplx, coloring)
         assert len(path) == k
         assert rank_one_certificate(cplx, coloring, path)
