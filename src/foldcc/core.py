@@ -283,18 +283,27 @@ class CubicalComplex:
         For u, w in A & B, A's face with diagonal {u, w} is B's, so A & B
         holds it; adding the bits in which such pairs differ one at a time
         shows that A & B is a face of A, and of B.  Edges count too.  The
-        test is one dict over the sum of n_k * 2^(k-1) diagonals.
+        test is one set of the n_k * 2^(k-1) diagonals of each dimension k;
+        only when it holds fewer does a dict scan name the first clash.
         """
-        n, seen = self.vertex_count, {}
+        n, keys, total = self.vertex_count, set(), 0
         for k in range(1, len(self.cubes)):
-            half = 1 << (k - 1)
-            for cube in self.cubes[k]:
-                for u, w in zip(cube[:half], cube[:half - 1:-1]):
-                    other = seen.setdefault(u * n + w if u < w else w * n + u,
-                                            cube)
-                    if other is not cube:
-                        raise NotAComplex("cube intersection is not a face",
-                                          detail=(other, cube))
+            level, half = self.cubes[k], 1 << (k - 1)
+            total += half * len(level)
+            for p in range(half):   # corners p and ~p = 2^k - 1 - p
+                keys.update([u * n + w if u < w else w * n + u
+                             for c in level for u, w in ((c[p], c[~p]),)])
+        if len(keys) == total:
+            return
+        seen = {}
+        for cube in itertools.chain.from_iterable(self.cubes[1:]):
+            half = len(cube) >> 1
+            for u, w in zip(cube[:half], cube[:half - 1:-1]):
+                other = seen.setdefault(u * n + w if u < w else w * n + u,
+                                        cube)
+                if other is not cube:
+                    raise NotAComplex("cube intersection is not a face",
+                                      detail=(other, cube))
 
     # -- basic queries -------------------------------------------------------
 
@@ -832,11 +841,12 @@ def _flag_witness(cplx):
 def validate_fcc(cplx, folding=None):
     """Check the FCC axioms and report each one.
 
-    `folding` may carry a precomputed folding to verify instead of searching
-    for one; a folding that `find_folding` built for this very complex was
-    verified there and is not verified again.  Empty and 0-dimensional
-    complexes are never FCCs (a top dimension of at least 1 is required).
-    The flag test reads the face table (see `_flag_witness`).
+    `folding` may carry a precomputed folding to check (`verify_folding`,
+    on edges and squares) instead of searching for one; one for another
+    complex, or with a direction or corner off the n-cube, is not foldable.
+    A folding that `find_folding` built for this very complex was verified
+    there and is not verified again.  Empty and 0-dimensional complexes
+    are never FCCs.  The flag test reads the face table (`_flag_witness`).
     """
     from . import folding as folding_mod
 
@@ -941,7 +951,7 @@ def _parse_cell_file(text, kind, cell_word):
                              % (lineno, cell_word))
         try:
             k = int(parts[1])
-            verts = [int(x) for x in parts[2:]]
+            verts = list(map(int, parts[2:]))
         except ValueError:
             raise ParseError("line %d: bad integer" % lineno)
         if k < 0:

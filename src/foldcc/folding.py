@@ -429,14 +429,10 @@ def find_folding(cplx):
 
     direction_of = tuple(coloring[find(c)] for c in range(classes.class_count))
 
-    # assemble vertex corners: lowest vertex of each component at corner 0
-    edges = cplx.cubes[1]
+    # assemble vertex corners: lowest vertex of each component at corner 0;
+    # verify_folding checks the edges off the spanning forest
     bits = [1 << (direction_of[c] - 1) for c in class_of]
-    corner, off_tree = spanning_forest_labels(cplx.vertex_count, edges, bits)
-    for e in off_tree:
-        u, w = edges[e]
-        if corner[u] ^ corner[w] != bits[e]:
-            raise ConstructionFailed("direction parities inconsistent")
+    corner, _ = spanning_forest_labels(cplx.vertex_count, cplx.cubes[1], bits)
 
     folding = Folding(cplx, classes, n, direction_of, tuple(corner))
     if not verify_folding(cplx, folding):
@@ -459,25 +455,29 @@ def _find_clique(reps, conflicts, size):
 
 
 def verify_folding(cplx, folding):
-    """Exhaustive closure check: every cube maps bijectively onto a face of
-    the n-cube, corner by corner."""
-    if folding.complex is not cplx and folding.complex != cplx:
+    """Whether each cube maps bijectively onto a face of the n-cube; False,
+    never an exception, for a direction outside 1..n or a corner outside
+    0..2^n-1.  It checks that each edge flips its direction's bit and each
+    square's axis bits differ, its far corner flipped by both: squares join
+    every edge of a cube to an axis edge and every two axes (README.md)."""
+    n, vc, dirs = folding.n, folding.vertex_corner, folding.direction_of
+    class_of = folding.classes.class_of
+    if (folding.complex is not cplx and folding.complex != cplx
+            or len(vc) != cplx.vertex_count or n < 0
+            or not all(0 < d <= n for d in dirs)
+            or not all(0 <= x < 1 << n for x in vc)
+            or not all(0 <= c < len(dirs) for c in class_of)):
         return False
-    vc = folding.vertex_corner
-    bit_of = [1 << (folding.direction_of[c] - 1)
-              for c in folding.classes.class_of]
-    for k in range(1, cplx.dim + 1):
-        table = cplx.axis_edges(k)
-        for i, cube in enumerate(cplx.cubes[k]):
-            bits = [bit_of[e] for e in table[k * i:k * i + k]]
-            if len(set(bits)) != k:
-                return False
-            want = [vc[cube[0]]]   # corner b: corner 0 moved along b's axes
-            for bit in bits:
-                want += [x ^ bit for x in want]
-            if [vc[v] for v in cube] != want:
-                return False
-    return True
+    bit = [1 << (dirs[c] - 1) for c in class_of]
+    edges = cplx.cubes[1] if cplx.dim >= 1 else ()
+    if len(bit) != len(edges) or any(vc[u] ^ vc[w] != b
+                                     for (u, w), b in zip(edges, bit)):
+        return False
+    if cplx.dim < 2:
+        return True
+    axes = [bit[e] for e in cplx.axis_edges(2)]
+    return not any(a == b or vc[x] ^ vc[y] != a ^ b for (x, _, _, y), a, b
+                   in zip(cplx.cubes[2], axes[::2], axes[1::2]))
 
 
 class EdgeColoring:

@@ -419,3 +419,43 @@ def reference_flag_witness(cplx):
             if not ok:
                 return v, tuple(lnk.directions[j] for j in bad)
     return None
+
+
+def reference_verify_folding(cplx, folding):
+    """The per-cube folding check that the edge-and-square check replaced:
+    every k-cube, k >= 1, has k distinct axis bits and corner b at corner
+    0 moved along b's axes.  It does not check directions or corners
+    against n."""
+    if folding.complex is not cplx and folding.complex != cplx:
+        return False
+    vc = folding.vertex_corner
+    bit_of = [1 << (folding.direction_of[c] - 1)
+              for c in folding.classes.class_of]
+    for k in range(1, cplx.dim + 1):
+        table = cplx.axis_edges(k)
+        for i, cube in enumerate(cplx.cubes[k]):
+            bits = [bit_of[e] for e in table[k * i:k * i + k]]
+            if len(set(bits)) != k:
+                return False
+            want = [vc[cube[0]]]   # corner b: corner 0 moved along b's axes
+            for bit in bits:
+                want += [x ^ bit for x in want]
+            if [vc[v] for v in cube] != want:
+                return False
+    return True
+
+
+def reference_diagonal_scan(cplx):
+    """The dict scan over cube diagonals that the one-set test replaced:
+    raises NotAComplex naming the first cube whose diagonal an earlier
+    cube already has, and that earlier cube."""
+    n, seen = cplx.vertex_count, {}
+    for k in range(1, len(cplx.cubes)):
+        half = 1 << (k - 1)
+        for cube in cplx.cubes[k]:
+            for u, w in zip(cube[:half], cube[:half - 1:-1]):
+                other = seen.setdefault(u * n + w if u < w else w * n + u,
+                                        cube)
+                if other is not cube:
+                    raise NotAComplex("cube intersection is not a face",
+                                      detail=(other, cube))

@@ -20,7 +20,8 @@ from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
 from helpers import (assert_incidence, assert_local_index,
                      assert_same_complex, brute_force_nonspanning_clique,
                      cube_face, reference_face_closure,
-                     reference_flag_witness, reference_restrict, relabelled)
+                     reference_diagonal_scan, reference_flag_witness,
+                     reference_restrict, relabelled)
 
 SQUARE = "cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n"
 
@@ -462,9 +463,19 @@ def reference_intersections_ok(cplx):
     return True
 
 
+def diagonal_clash(check, cplx):
+    """(text, detail) of the NotAComplex that `check(cplx)` raises, or None."""
+    try:
+        check(cplx)
+    except NotAComplex as exc:
+        return str(exc), exc.detail
+    return None
+
+
 def agrees_with_reference(n, cubes):
     """The diagonal test rejects the closure of `cubes` iff the pairwise
-    scan does; a soup whose closure fails for another reason is skipped.
+    scan does, and names the same pair of cubes as the dict scan it
+    replaced; a soup whose closure fails for another reason is skipped.
     Returns whether the soup broke the axiom."""
     try:
         cplx = CubicalComplex.from_maximal_cubes(n, cubes,
@@ -472,10 +483,10 @@ def agrees_with_reference(n, cubes):
     except NotAComplex:
         return None
     expect = reference_intersections_ok(cplx)
-    try:
-        cplx._check_intersections()
-    except NotAComplex as exc:
-        assert str(exc) == "cube intersection is not a face"
+    clash = diagonal_clash(CubicalComplex._check_intersections, cplx)
+    assert clash == diagonal_clash(reference_diagonal_scan, cplx)
+    if clash is not None:
+        assert clash[0] == "cube intersection is not a face"
         assert not expect
         return True
     assert expect

@@ -18,6 +18,8 @@ from foldcc.folding import (Folding, NotFoldable, _cycle_basis,
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                standard_sphere, torus_grid)
 
+from helpers import reference_verify_folding
+
 
 def relabel(cplx, perm):
     cubes = [tuple(perm[v] for v in cplx.cubes[k][i])
@@ -273,6 +275,159 @@ class TestSingleVerification:
         report = validate_fcc(torus_grid((4, 6)), folding=find_folding(cplx))
         assert not report.foldable and not report.is_fcc
         assert len(calls) == 4
+
+
+def corrupted_foldings(entry, rng):
+    """(folding, kind) pairs built from a corpus folding: relabelled
+    directions and translated corners (still foldings), a flipped corner
+    bit, a changed direction, and a class split in two, keeping or
+    changing the direction of its second half."""
+    built, n = entry.folding, entry.folding.n
+    perm = rng.sample(range(n), n)
+    relabel = [sum(((x >> d) & 1) << perm[d] for d in range(n))
+               for x in range(1 << n)]
+    yield Folding(built.complex, built.classes, n,
+                  tuple(perm[d - 1] + 1 for d in built.direction_of),
+                  tuple(relabel[x] for x in built.vertex_corner)), "relabel"
+    mask = rng.randrange(1 << n)
+    yield dataclasses.replace(built, vertex_corner=tuple(
+        x ^ mask for x in built.vertex_corner)), "translate"
+    corner = list(built.vertex_corner)
+    corner[rng.randrange(len(corner))] ^= 1 << rng.randrange(n)
+    yield dataclasses.replace(built, vertex_corner=tuple(corner)), "flip"
+    if n >= 2:
+        direction = list(built.direction_of)
+        c = rng.randrange(len(direction))
+        direction[c] = rng.choice([d for d in range(1, n + 1)
+                                   if d != direction[c]])
+        yield dataclasses.replace(built, direction_of=tuple(direction)), \
+            "direction"
+    classes = built.classes
+    members = [e for e, c in enumerate(classes.class_of)
+               if c == classes.class_of[-1]]
+    for d in sorted({built.direction_of[-1], rng.randrange(1, n + 1)}):
+        class_of = list(classes.class_of)
+        for e in members[len(members) // 2:]:
+            class_of[e] = classes.class_count
+        split = folding_mod.ParallelClasses(
+            built.complex, tuple(class_of), classes.class_count + 1)
+        yield Folding(built.complex, split, n, built.direction_of + (d,),
+                      built.vertex_corner), "split"
+
+
+def collapsed_squares(cplx, coords, step):
+    """A folding on one class per edge whose corners move one bit along
+    every edge while the first two coordinates enter as x - y through the
+    4-cycle of corners 0, 1, 3, 2: each xy-square's far corner lands on its
+    corner 0, so opposite edges carry different bits."""
+    cycle = (0, 1, 3, 2)
+    corner = tuple(cycle[(x - y) % 4] | (sum(rest) % 2) * step
+                   for x, y, *rest in map(coords, range(cplx.vertex_count)))
+    direction = tuple((corner[u] ^ corner[w]).bit_length()
+                      for u, w in cplx.cubes[1])
+    classes = folding_mod.ParallelClasses(cplx, tuple(range(len(direction))),
+                                          len(direction))
+    return Folding(cplx, classes, max(direction), direction, corner)
+
+
+class TestEdgesAndSquares:
+    """verify_folding checks edges and squares only; the per-cube check it
+    replaced is tests/helpers.py's reference_verify_folding."""
+
+    def test_agrees_with_the_per_cube_check(self, corpus_all):
+        rng = random.Random(14)
+        verdicts = {}
+        for entry in corpus_all:
+            cplx = entry.complex
+            assert verify_folding(cplx, entry.folding)
+            assert reference_verify_folding(cplx, entry.folding)
+            for bad, kind in corrupted_foldings(entry, rng):
+                got = verify_folding(cplx, bad)
+                assert got == reference_verify_folding(cplx, bad), kind
+                verdicts.setdefault(kind, set()).add(got)
+        assert verdicts["relabel"] == verdicts["translate"] == {True}
+        assert verdicts["flip"] == verdicts["direction"] == {False}
+        assert verdicts["split"] == {True, False}
+
+    def test_square_check_decides_collapsed_squares(self):
+        square = CubicalComplex.from_maximal_cubes(4, [(0, 1, 2, 3)])
+        cases = [(square, lambda v: (v & 1, v >> 1)),
+                 (torus_grid((4, 4)), lambda v: (v % 4, v // 4)),
+                 (torus_grid((4, 4, 4)),
+                  lambda v: (v % 4, v // 4 % 4, v // 16))]
+        for cplx, coords in cases:
+            bad = collapsed_squares(cplx, coords, 4)
+            bits = [1 << (d - 1) for d in bad.direction_of]
+            assert all(bad.vertex_corner[u] ^ bad.vertex_corner[w] == b
+                       for (u, w), b in zip(cplx.cubes[1], bits))
+            assert not verify_folding(cplx, bad)
+            assert not reference_verify_folding(cplx, bad)
+
+    def test_direction_above_n_is_refused(self):
+        # direction 2 moved to 3, corner bits moved to match: every cube
+        # still maps bijectively, but onto a 3-cube the folding lacks
+        cplx = torus_grid((4, 4))
+        built = find_folding(cplx)
+        moved = dataclasses.replace(
+            built, direction_of=tuple(3 if d == 2 else d
+                                      for d in built.direction_of),
+            vertex_corner=tuple((x & 1) | (x & 2) << 1
+                                for x in built.vertex_corner))
+        assert reference_verify_folding(cplx, moved)
+        assert not verify_folding(cplx, moved)
+        report = validate_fcc(cplx, folding=moved)
+        assert not report.foldable and not report.is_fcc
+
+    def test_direction_zero_is_refused_without_an_error(self):
+        cplx = torus_grid((4, 4))
+        built = find_folding(cplx)
+        zero = dataclasses.replace(built, direction_of=(0,)
+                                   + built.direction_of[1:])
+        with pytest.raises(ValueError):
+            reference_verify_folding(cplx, zero)
+        assert not verify_folding(cplx, zero)
+        report = validate_fcc(cplx, folding=zero)
+        assert not report.foldable and not report.is_fcc
+
+    def test_corner_outside_the_n_cube_is_refused(self):
+        cplx = torus_grid((4, 4))
+        built = find_folding(cplx)
+        for outside in (tuple(x | 4 for x in built.vertex_corner),
+                        (-1,) + built.vertex_corner[1:]):
+            bad = dataclasses.replace(built, vertex_corner=outside)
+            assert not verify_folding(cplx, bad)
+            assert not validate_fcc(cplx, folding=bad).foldable
+        assert reference_verify_folding(cplx, dataclasses.replace(
+            built, vertex_corner=tuple(x | 4 for x in built.vertex_corner)))
+
+    def test_tables_that_do_not_fit_are_refused_without_an_error(self):
+        cplx = torus_grid((4, 4))
+        built = find_folding(cplx)
+        class_of, count = built.classes.class_of, built.classes.class_count
+        short = built.vertex_corner[:-1]
+        bad = [dataclasses.replace(built, vertex_corner=short)]
+        for c in (class_of[:-1], (count,) + class_of[1:],
+                  (-1,) + class_of[1:]):
+            classes = folding_mod.ParallelClasses(cplx, c, count)
+            bad.append(dataclasses.replace(built, classes=classes))
+        for folding in bad:
+            assert not verify_folding(cplx, folding)
+            assert not validate_fcc(cplx, folding=folding).foldable
+
+    def test_reads_no_cube_above_dimension_two(self, monkeypatch,
+                                               x_hemispherex):
+        torus = torus_grid((4, 4, 4, 4))
+        built = find_folding(torus)
+        real = CubicalComplex.axis_edges
+
+        def guarded(self, k):
+            if k >= 3:
+                raise AssertionError("axis_edges(%d) was read" % k)
+            return real(self, k)
+
+        monkeypatch.setattr(CubicalComplex, "axis_edges", guarded)
+        assert verify_folding(torus, built)
+        assert verify_folding(x_hemispherex.complex, x_hemispherex.folding)
 
 
 class TestFoldSimplicial:
