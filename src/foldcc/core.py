@@ -93,14 +93,14 @@ def _face_pickers(k):
 def _face_closure(vertex_count, maximal):
     """Face closure of a list of corner tuples.
 
-    Returns the cubes by dim (each level sorted, level 0 all vertices), the
-    map vertex set -> (dim, index) and the face table of CubicalComplex.
-    Cubes are keyed by canonical tuple and every side-1 face occurrence of
-    dimension >= 1 is canonicalized; vertex sets are built once per cube.
+    Returns the cubes by dim (each level sorted, level 0 all vertices) and
+    the face table of CubicalComplex.  Cubes are keyed by canonical tuple
+    and every side-1 face occurrence of dimension >= 1 is canonicalized; a
+    level with two cubes on one sorted corner tuple is refused.
     """
     levels = {}   # dim -> {canonical cube: position in order of discovery}
     facets = {}   # dim -> positions in levels[dim-1] of each cube's faces
-    listed = {}   # vertex set -> listed cube, for the first pass only
+    listed = {}   # sorted corners -> listed cube, for the first pass only
     for corners in maximal:
         k = (len(corners) - 1).bit_length()
         if len(corners) != 1 << k:
@@ -111,7 +111,7 @@ def _face_closure(vertex_count, maximal):
             if not (0 <= v < vertex_count):
                 raise NotAComplex("corner %d out of range" % v)
         cube = canonical_cube(tuple(corners))
-        other = listed.setdefault(frozenset(cube), cube)
+        other = listed.setdefault(tuple(sorted(cube)), cube)
         if other != cube:
             raise NotAComplex("two distinct cubes on the same vertex set",
                               detail=(other, cube))
@@ -137,7 +137,6 @@ def _face_closure(vertex_count, maximal):
     cubes_by_dim = [tuple((v,) for v in range(vertex_count))]
     face_table = [[]]
     ranks = [[v for (v,) in levels.pop(0, ())]]   # position -> index
-    found = {frozenset((v,)): (0, v) for v in range(vertex_count)}
     for k in range(1, top + 1):
         level = list(levels.pop(k))
         order = sorted(range(len(level)), key=level.__getitem__)
@@ -146,12 +145,9 @@ def _face_closure(vertex_count, maximal):
         face_table.append([below[p] for j in order
                            for p in flat[w * j:w * j + w]])
         ranks.append(sorted(range(len(level)), key=order.__getitem__))
-        known = len(found)
-        found.update(zip(map(frozenset, level),
-                         zip(itertools.repeat(k), ranks[k])))
-        if len(found) - known < len(level):
+        if len(set(map(tuple, map(sorted, level)))) < len(level):
             raise NotAComplex("two distinct cubes on the same vertex set")
-    return tuple(cubes_by_dim), found, face_table
+    return tuple(cubes_by_dim), face_table
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +227,17 @@ class CubicalComplex:
     """Finite face-closed cubical complex with dense vertex ids 0..N-1.
 
     Immutable after construction; derived tables are cached lazily and all
-    queries are pure.  A complex that reindexes another's tables (`by_vset`
-    None) builds the map behind `cube_index` on first use.
+    queries are pure.  A cube is keyed by its canonical corner tuple; no
+    two cubes share a vertex set.
     """
 
-    def __init__(self, vertex_count, cubes_by_dim, by_vset, face_table,
+    def __init__(self, vertex_count, cubes_by_dim, face_table,
                  provenance=None):
         # internal: use from_maximal_cubes, or reindex a complex's tables
         # (restrict_complex, decomposition.hyperplanes)
         self.vertex_count = vertex_count
         self.cubes = cubes_by_dim  # tuple over dims of tuples of corner tuples
         self.provenance = provenance
-        if by_vset is not None:
-            self._by_vset = by_vset
         # per dim k: face indices (in dim k-1) of every k-cube, 2k per cube
         # in axis/side order
         self._faces = face_table
@@ -321,15 +315,6 @@ class CubicalComplex:
 
     def euler_characteristic(self):
         return sum((-1) ** k * len(level) for k, level in enumerate(self.cubes))
-
-    @cached_property
-    def _by_vset(self):   # vertex set -> (dim, index)
-        return {frozenset(c): (k, i) for k, level in enumerate(self.cubes)
-                for i, c in enumerate(level)}
-
-    def cube_index(self, corners):
-        """(dim, index) of the cube with this vertex set, or None."""
-        return self._by_vset.get(frozenset(corners))
 
     def faces(self, k, i):
         """The 2k codimension-1 faces of cube (k, i), in axis/side order."""
@@ -503,7 +488,7 @@ def restrict_complex(parent, cube_refs):
     increasing order, which keeps canonical cubes canonical and levels
     sorted: each level is the listed parent cubes in parent order, each
     face entry the parent's, renumbered; nothing is closed again.  The
-    renumberings are the piece's `local_index`; its vertex-set map is lazy.
+    renumberings are the piece's `local_index`.
     """
     chosen = [set() for _ in parent.cubes]
     for k, i in cube_refs:
@@ -524,7 +509,7 @@ def restrict_complex(parent, cube_refs):
         index.append(dict(zip(refs, range(len(refs)))))
         cubes.append(tuple(tuple(map(index[0].__getitem__,
                                      parent.cubes[k][i])) for i in refs))
-    cplx = CubicalComplex(len(index[0]), tuple(cubes), None, face_table)
+    cplx = CubicalComplex(len(index[0]), tuple(cubes), face_table)
     return ComponentPiece(cplx, tuple(index[0]), index[0], index)
 
 
@@ -843,7 +828,8 @@ def validate_fcc(cplx, folding=None):
 
     `folding` may carry a precomputed folding to check (`verify_folding`,
     on edges and squares) instead of searching for one; one for another
-    complex, or with a direction or corner off the n-cube, is not foldable.
+    complex, or with a direction or corner off the n-cube, is not foldable;
+    so is a `NotFoldable`, which becomes the report's `fold_witness`.
     A folding that `find_folding` built for this very complex was verified
     there and is not verified again.  Empty and 0-dimensional complexes
     are never FCCs.  The flag test reads the face table (`_flag_witness`).
@@ -865,16 +851,14 @@ def validate_fcc(cplx, folding=None):
     foldable = False
     fold_witness = None
     if homogeneous:
-        if folding is not None:
+        if folding is None:
+            folding = folding_mod.find_folding(cplx)
+        if isinstance(folding, folding_mod.NotFoldable):
+            fold_witness = folding
+        else:
             # a folding find_folding built for this complex is verified
             foldable = (folding._verified_for is cplx
                         or folding_mod.verify_folding(cplx, folding))
-        else:
-            result = folding_mod.find_folding(cplx)
-            if isinstance(result, folding_mod.NotFoldable):
-                fold_witness = result
-            else:
-                foldable = True
     is_fcc = (connected and homogeneous and no_boundary and flag_links
               and foldable)
     return FccReport(n, connected, homogeneous, no_boundary, flag_links,

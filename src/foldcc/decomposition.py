@@ -105,8 +105,7 @@ def hyperplanes(cplx, coloring, color):
     midcube of the carrier's face along axis rest[axes[t]], side s (rest:
     the carrier's axes but the color axis), read off the parent's face
     table.  A component numbers its edges in increasing order, which keeps
-    canonical orders canonical and sorted levels sorted; its vertex-set
-    map is built on first use.
+    canonical orders canonical and sorted levels sorted.
     """
     if not 1 <= color <= coloring.n:
         raise BadColorSet("color %d outside 1..%d" % (color, coloring.n))
@@ -155,7 +154,7 @@ def hyperplanes(cplx, coloring, color):
                                for j, (_, i, _) in enumerate(level))
                 below = {i: j for j, (_, i, _) in enumerate(level)}
         carrier.update(((0, j), (1, e)) for j, e in enumerate(verts))
-        cx = CubicalComplex(len(verts), tuple(cubes), None, face_table)
+        cx = CubicalComplex(len(verts), tuple(cubes), face_table)
         out.append(HyperplaneComponent(color, cx, tuple(verts), carrier))
     return out
 

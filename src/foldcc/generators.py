@@ -144,9 +144,10 @@ def subdivide_half(Y):
     """
     vertex_for = {}
     carrier_of = []
+    center = {}   # sorted corners of a Y cube -> its center
     for k, level in enumerate(Y.cubes):
-        for i in range(len(level)):
-            vertex_for[(k, i)] = len(carrier_of)
+        for i, cube in enumerate(level):
+            vertex_for[(k, i)] = center[tuple(sorted(cube))] = len(carrier_of)
             carrier_of.append((k, i))
     maximal = []
     for k, i in Y.maximal_cubes():
@@ -158,7 +159,7 @@ def subdivide_half(Y):
             corners = []
             for sub in range(1 << k):
                 face = [cube[q] for q in range(1 << k) if q & ~sub == p & ~sub]
-                corners.append(vertex_for[Y.cube_index(face)])
+                corners.append(center[tuple(sorted(face))])
             maximal.append(tuple(corners))
     X = CubicalComplex.from_maximal_cubes(
         len(carrier_of), maximal, check_intersections=False)
@@ -177,9 +178,7 @@ def davis_X(K, max_generators=16):
 
 def origin_direction(sub, s):
     """X(K) neighbor of the origin along coordinate s (the s-edge center)."""
-    Y = sub.parent
-    e = Y.cube_index((0, 1 << s))
-    return sub.vertex_for[e]
+    return sub.vertex_for[(1, sub.parent.edge_index(0, 1 << s))]
 
 
 def torus_grid(dims):

@@ -239,8 +239,8 @@ def _covering_table(cplx, coloring):
 def _prepare(cplx, folding, assume_fcc):
     if folding is None:
         folding = find_folding(cplx)
-        if isinstance(folding, NotFoldable):
-            raise NotFCC("complex is not foldable")
+    if isinstance(folding, NotFoldable):
+        raise NotFCC("complex is not foldable")
     if not assume_fcc:
         report = validate_fcc(cplx, folding=folding)
         if not report.is_fcc:

@@ -13,6 +13,7 @@ from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
                          canonical_frame, is_flag, link)
 from foldcc.errors import NotAComplex
 from foldcc.decomposition import HyperplaneComponent, Subcomplex
+from foldcc.generators import Subdivision
 from foldcc.geodesic import DistanceClass, SimVClasses
 
 
@@ -107,12 +108,19 @@ def assert_incidence(cplx):
                                       for ax in range(k)]
 
 
+def vertex_set_map(cplx):
+    """Vertex set -> (dim, index) of every cube of the complex."""
+    return {frozenset(cube): (k, i) for k, level in enumerate(cplx.cubes)
+            for i, cube in enumerate(level)}
+
+
 def assert_vertex_set_lookups(cplx):
-    """cube_index names every cube by its vertex set, and edge_index of
-    two vertices that span no edge is None."""
+    """Every cube has a vertex set of its own, and edge_index of two
+    vertices that span no edge is None."""
+    by_vset = vertex_set_map(cplx)
     for k, level in enumerate(cplx.cubes):
         for i, cube in enumerate(level):
-            assert cplx.cube_index(reversed(cube)) == (k, i)
+            assert by_vset[frozenset(reversed(cube))] == (k, i)
     edges = set(cplx.cubes[1]) if cplx.dim >= 1 else set()
     u, w = next(((u, w) for u, w in itertools.combinations(
         range(cplx.vertex_count), 2) if (u, w) not in edges), (0, 0))
@@ -142,11 +150,10 @@ def relabelled(cplx, rng):
 
 
 def assert_same_complex(got, want):
-    """Equal cubes, face tables and vertex-set maps."""
+    """Equal cubes and face tables."""
     assert got.vertex_count == want.vertex_count
     assert got.cubes == want.cubes
     assert got._faces == want._faces
-    assert got._by_vset == want._by_vset
 
 
 # The decomposition as it was built before pieces and hyperplane components
@@ -229,7 +236,7 @@ def reference_hyperplanes(cplx, coloring, color):
 
 def reference_cube_map(cplx, coloring, color, parity, h, b, piece):
     """The side-b cube map of edge space h into the vertex space `piece`."""
-    cube_map = {}
+    cube_map, by_vset = {}, vertex_set_map(piece.complex)
     for (k, j), (pk, pi) in h.carrier.items():
         if k == 0:
             u1, u2 = cplx.cubes[1][h.edge_of_vertex[j]]
@@ -239,9 +246,41 @@ def reference_cube_map(cplx, coloring, color, parity, h, b, piece):
         pcube = cplx.cubes[pk][pi]
         axis = reference_color_axis(cplx, coloring, pk, pi, color)
         face = cube_face(pcube, axis, 0 if parity[pcube[0]] == b else 1)
-        cube_map[(k, j)] = piece.complex.cube_index(
-            tuple(piece.vertex_index[v] for v in face))
+        cube_map[(k, j)] = by_vset.get(
+            frozenset(piece.vertex_index[v] for v in face))
     return cube_map
+
+
+# The half subdivision as it was built when every complex kept a map from
+# each cube's vertex set to its (dim, index): the lookups go through that map.
+
+def reference_subdivide_half(Y):
+    by_vset = vertex_set_map(Y)
+    vertex_for = {}
+    carrier_of = []
+    for k, level in enumerate(Y.cubes):
+        for i in range(len(level)):
+            vertex_for[(k, i)] = len(carrier_of)
+            carrier_of.append((k, i))
+    maximal = []
+    for k, i in Y.maximal_cubes():
+        cube = Y.cubes[k][i]
+        if k == 0:
+            maximal.append((vertex_for[(0, i)],))
+            continue
+        for p in range(1 << k):
+            corners = []
+            for sub in range(1 << k):
+                face = [cube[q] for q in range(1 << k) if q & ~sub == p & ~sub]
+                corners.append(vertex_for[by_vset[frozenset(face)]])
+            maximal.append(tuple(corners))
+    X = CubicalComplex.from_maximal_cubes(
+        len(carrier_of), maximal, check_intersections=False)
+    return Subdivision(X, Y, vertex_for, tuple(carrier_of))
+
+
+def reference_origin_direction(sub, s):
+    return sub.vertex_for[vertex_set_map(sub.parent)[frozenset((0, 1 << s))]]
 
 
 # The face closure and flag count as they were before the closure keyed

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from foldcc.core import (CubicalComplex, DisjointSet, SimplicialComplex,
                          serialize_simplicial, simplicial_isomorphic,
                          spanning_forest_labels, validate_fcc)
 from foldcc.errors import NotAComplex, NotHomogeneous, ParseError, UnknownVertex
-from foldcc.folding import find_folding
+from foldcc.folding import NotFoldable, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                standard_sphere, torus_grid)
 
@@ -21,7 +22,7 @@ from helpers import (assert_incidence, assert_local_index,
                      assert_same_complex, brute_force_nonspanning_clique,
                      cube_face, reference_face_closure,
                      reference_diagonal_scan, reference_flag_witness,
-                     reference_restrict, relabelled)
+                     reference_restrict, relabelled, vertex_set_map)
 
 SQUARE = "cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n"
 
@@ -95,6 +96,19 @@ class TestLoading:
     def test_loading_is_deterministic(self):
         text = serialize_complex(torus_grid((4, 4)))
         assert load_complex(text) == load_complex(text)
+
+    def test_loading_xh_keeps_no_per_cube_map(self, hemispherex_meta):
+        # what X(H) holds once loaded: its cubes and face table, 11 MiB;
+        # an eager per-cube table such as a vertex-set map adds 26 MiB
+        text = serialize_complex(hemispherex_meta[1].complex)
+        tracemalloc.start()
+        try:
+            cplx = load_complex(text)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cplx.n_cubes(3) == 10240
+        assert held < 20 << 20
 
     def test_round_trip_is_byte_identical(self):
         for cplx in [torus_grid((4, 4)), torus_grid((4, 4, 4)),
@@ -295,6 +309,15 @@ class TestValidateFcc:
         report = validate_fcc(torus_grid((5, 4)))
         assert report.connected and report.no_boundary and report.flag_links
         assert not report.foldable and not report.is_fcc
+
+    def test_a_not_foldable_result_passed_as_folding(self):
+        cplx = torus_grid((5, 4))
+        result = find_folding(cplx)
+        assert isinstance(result, NotFoldable)
+        report = validate_fcc(cplx, folding=result)
+        assert not report.foldable and not report.is_fcc
+        assert report.fold_witness is result
+        assert report == validate_fcc(cplx)
 
     def test_homogeneity_witness_on_dangling_edge(self):
         # a square with an edge hanging off corner 3, then also with an
@@ -567,9 +590,9 @@ class TestIntersectionAxiom:
 
 
 def same_closure(n, cubes):
-    """_face_closure gives the reference's cubes, face table and vertex-set
-    map, or raises the same exception type with the same text.  Returns
-    the complex, or None."""
+    """_face_closure gives the reference's cubes and face table, its cubes
+    carry the reference's vertex-set map, or it raises the same exception
+    type with the same text.  Returns the complex, or None."""
     try:
         want = reference_face_closure(n, cubes)
     except NotAComplex as exc:
@@ -579,9 +602,10 @@ def same_closure(n, cubes):
         return None
     got = _face_closure(n, cubes)
     assert got[0] == want[0]
-    assert got[2] == want[2]
-    assert got[1] == want[1]
-    return CubicalComplex(n, *got)
+    assert got[1] == want[2]
+    cplx = CubicalComplex(n, *got)
+    assert vertex_set_map(cplx) == want[1]
+    return cplx
 
 
 def same_flag_witness(cplx):

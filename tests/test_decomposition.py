@@ -302,9 +302,6 @@ def assert_matches_the_references(cplx, coloring):
         if cplx.dim < 2:
             continue
         gos = graph_of_spaces(cplx, coloring, color)
-        # only cube_index and edge_index build a piece's vertex-set map
-        for space in gos.vertex_spaces + gos.edge_spaces:
-            assert "_by_vset" not in vars(space.complex)
         parity = direction_parity(cplx, coloring, color)
         for g0, g1 in gos.attaching:
             for g in (g0, g1):

@@ -1,8 +1,8 @@
 import pytest
 
-from foldcc.core import (CubicalComplex, is_flag, link, load_complex,
-                         serialize_complex, simplicial_isomorphic,
-                         validate_fcc)
+from foldcc.core import (CubicalComplex, SimplicialComplex, is_flag, link,
+                         load_complex, serialize_complex,
+                         simplicial_isomorphic, validate_fcc)
 from foldcc.errors import BadDimension, BadDims, BadSpec, TooLarge
 from foldcc.folding import NotFoldable, fold_simplicial
 from foldcc.generators import (cycle_graph, davis_X, davis_Y, equator_vertices,
@@ -10,7 +10,8 @@ from foldcc.generators import (cycle_graph, davis_X, davis_Y, equator_vertices,
                                simplicial_graph_to_cubical, standard_sphere,
                                subdivide_half, torus_grid)
 
-from helpers import davis_face_count
+from helpers import (assert_same_complex, davis_face_count,
+                     reference_origin_direction, reference_subdivide_half)
 
 
 class TestStandardSphere:
@@ -77,7 +78,6 @@ class TestHemispherex:
 class TestDavisY:
     def test_single_edge_gives_square(self):
         K = simplicial_graph_to_cubical  # noqa: F841  (keep import used)
-        from foldcc.core import SimplicialComplex
         edge = SimplicialComplex.from_maximal(2, [(0, 1)])
         Y = davis_Y(edge)
         assert Y.cell_counts() == (4, 4, 1)
@@ -148,6 +148,23 @@ class TestSubdivision:
         for s in range(hx.complex.vertex_count):
             w = origin_direction(sub, s)
             assert w in X.neighbors(0)
+
+    def test_matches_the_vertex_set_reference(self):
+        # the octahedron, the double arc, and the hexagon joined with S^0
+        hexagon_join = SimplicialComplex.from_maximal(
+            8, [tuple(sorted((i, (i + 1) % 6, a)))
+                for i in range(6) for a in (6, 7)])
+        for K in (standard_sphere(2),
+                  hemispherex(1, (1, 1), allow_dim1=True).complex,
+                  hexagon_join):
+            Y = davis_Y(K)
+            got, want = subdivide_half(Y), reference_subdivide_half(Y)
+            assert_same_complex(got.complex, want.complex)
+            assert got.vertex_for == want.vertex_for
+            assert got.carrier_of == want.carrier_of
+            for s in range(K.vertex_count):
+                assert (origin_direction(got, s)
+                        == reference_origin_direction(want, s))
 
 
 class TestTorusAndProduct:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from foldcc import rank
 from foldcc.core import CubicalComplex
 from foldcc.errors import NotDim3, NotFCC
-from foldcc.folding import coloring_from, find_folding
+from foldcc.folding import NotFoldable, coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                torus_grid)
 from foldcc.geodesic import all_color_turn_cycle, rank_one_certificate
@@ -73,6 +73,15 @@ class TestDetectRank3:
     def test_non_fcc_rejected(self):
         with pytest.raises(NotFCC):
             detect_rank3(torus_grid((5, 4, 4)))
+
+    def test_a_not_foldable_result_passed_as_folding(self):
+        for detect, cplx in ((detect_rank3, torus_grid((5, 4, 4))),
+                             (detect_rank_general, torus_grid((5, 4)))):
+            result = find_folding(cplx)
+            assert isinstance(result, NotFoldable)
+            for assume_fcc in (False, True):
+                with pytest.raises(NotFCC, match="^complex is not foldable$"):
+                    detect(cplx, folding=result, assume_fcc=assume_fcc)
 
     def test_diagnostics_fields(self, corpus3):
         entry = corpus3[0]
