@@ -11,6 +11,13 @@ An edge path is a chain of oriented edges; it is a local geodesic when
 every junction (including the closing one of a closed path) turns by at
 least pi, i.e. the incoming-reversed and outgoing directions are neither
 equal nor sides of a common square.
+
+Every search walks nodes x = 2e + flip: edge e = (u, w) with u < w, run
+from u to w when flip is 0, so x ^ 1 is the reverse run.  The successors
+of a node are read from the direction table of its head, only for the
+vertices a walk reaches.  The connectors and probe loops of the Lemma keep
+to one color; two directions of one color never span a square, so there
+"does not backtrack" and "is a local geodesic" are the same rule.
 """
 
 from collections import deque
@@ -171,48 +178,23 @@ def transfer(cplx, e):
 
 
 # ---------------------------------------------------------------------------
-# non-backtracking search in multigraphs
+# walks on oriented edges
 
-def _oriented_refs(edge_list):
-    # oriented edge (tail, head) -> its ref (edge index, flip)
-    index = {}
-    for i, (u, w) in enumerate(edge_list):
-        index[(u, w)] = (i, 0)
-        index[(w, u)] = (i, 1)
-    return index
+def _ends(edges, x):
+    # (tail, head) of node x = 2e + flip
+    u, w = edges[x >> 1]
+    return (w, u) if x & 1 else (u, w)
 
 
-def _adjacency(edge_list):
-    adj = {}
-    for idx, (u, w) in enumerate(edge_list):
-        adj.setdefault(u, []).append((idx, 0))
-        adj.setdefault(w, []).append((idx, 1))
-    for v in adj:
-        adj[v].sort(key=lambda r: (_head(edge_list, r), r[0]))
-    return adj
+def _node(cplx, e):
+    u, w = e
+    return 2 * cplx.edge_index(u, w) + (u > w)
 
 
-def _head(edge_list, ref):
-    idx, flip = ref
-    return edge_list[idx][1 - flip]
-
-
-def _tail(edge_list, ref):
-    idx, flip = ref
-    return edge_list[idx][flip]
-
-
-def _check_graph(edge_list, require_not_circle=True):
-    adj = _adjacency(edge_list)
-    if adj:
-        ds = DisjointSet(max(adj) + 1)
-        for u, w in edge_list:
-            ds.union(u, w)
-        if len(ds.groups(adj)) != 1:
-            raise NotConnected("graph is not connected")
-        if require_not_circle and all(len(refs) == 2 for refs in adj.values()):
-            raise IsCircle("graph is a circle")
-    return adj
+def _path(cplx, walk, base, closed):
+    edges = cplx.cubes[1]
+    return EdgePath(base, tuple(OrientedEdge(*_ends(edges, x)) for x in walk),
+                    closed)
 
 
 def _bfs_walk(first, succ, goal):
@@ -234,52 +216,72 @@ def _bfs_walk(first, succ, goal):
     return None
 
 
-def _forward(edge_list, adj):
-    # the non-backtracking successors of an oriented ref
-    return lambda ref: [nxt for nxt in adj.get(_head(edge_list, ref), ())
-                        if nxt != (ref[0], 1 - ref[1])]
+def _onward(cplx, colors, color):
+    # the nodes of one color leaving the head of x, by increasing head,
+    # except the reverse of x
+    edges = cplx.cubes[1]
+
+    def succ(x):
+        u, v = _ends(edges, x)
+        nbrs, out, _ = cplx.directions(v)
+        return [2 * e + (v > w) for w, e in zip(nbrs, out)
+                if colors[e] == color and w != u]
+    return succ
 
 
-def connector_walk(edge_list, e1, e2):
-    """Lemma-backed connector in a multigraph.
+def _is_circle(cplx, colors, color, v):
+    # every vertex of v's component in one color has two edges of it
+    seen, todo = {v}, [v]
+    while todo:
+        nbrs, out, _ = cplx.directions(todo.pop())
+        same = [w for w, e in zip(nbrs, out) if colors[e] == color]
+        if len(same) != 2:
+            return False
+        todo += [w for w in same if w not in seen]
+        seen.update(same)
+    return True
 
-    Edges are (u, w) pairs; an oriented ref is (edge index, flip) with
-    flip = 1 traversing w->u.  Returns the shortest walk c from the head of
-    e1 to the head of e2 such that reverse(e2) * c * e1 is non-backtracking
-    at every junction; ties break on canonical edge order.
-    """
-    succ = _forward(edge_list, _check_graph(edge_list))
-    goal_v = _head(edge_list, e2)
-    if _head(edge_list, e1) == goal_v and e1 != e2:
+
+def _connector(cplx, colors, color, x1, x2):
+    # the Lemma's connector inside one color: the shortest walk c from the
+    # head of x1 to the head of x2 with x1 * c * (x2 ^ 1) non-backtracking;
+    # x1 = x2 gives a probe loop.  A probe loop's search fails on a circle.
+    edges = cplx.cubes[1]
+    head, goal = _ends(edges, x1)[1], _ends(edges, x2)[1]
+    if head == goal and x1 != x2:
         return []
-    walk = _bfs_walk(succ(e1), succ, lambda ref: (
-        _head(edge_list, ref) == goal_v and ref != e2))
+    succ = _onward(cplx, colors, color)
+    walk = _bfs_walk(succ(x1), succ,
+                     lambda x: x != x2 and _ends(edges, x)[1] == goal)
     if walk is None:
+        if _is_circle(cplx, colors, color, head):
+            raise IsCircle("graph is a circle")
         raise ConstructionFailed("no connector walk exists (valence-1 vertex?)")
     return walk
 
 
-def loop_at_vertex(edge_list, v):
-    """Shortest non-backtracking closed walk based at v, with a legal
-    closing junction (first step is not the reverse of the last)."""
-    adj = _check_graph(edge_list, require_not_circle=False)
-    if v not in adj:
-        raise ConstructionFailed("vertex %d has no edges" % v)
-    succ = _forward(edge_list, adj)
-    walks = [_bfs_walk([start], succ, lambda ref: (
-        _head(edge_list, ref) == v and ref != (start[0], 1 - start[1])))
-        for start in adj[v]]
+def _loop_at(cplx, colors, color, v):
+    # the shortest closed walk at v inside one color whose closing junction
+    # does not backtrack either
+    nbrs, out, _ = cplx.directions(v)
+    starts = [2 * e + (v > w) for w, e in zip(nbrs, out) if colors[e] == color]
+    if not starts:
+        raise PreconditionFailed("no color-%d edge at vertex %d" % (color, v))
+    edges, succ = cplx.cubes[1], _onward(cplx, colors, color)
+    walks = [_bfs_walk([x], succ,
+                       lambda y: y != x ^ 1 and _ends(edges, y)[1] == v)
+             for x in starts]
     walks = [walk for walk in walks if walk is not None]
     if not walks:
         raise ConstructionFailed("no closed loop through vertex %d" % v)
     return min(walks, key=len)
 
 
-def _walk_to_path(edge_list, walk, base, closed):
-    steps = []
-    for ref in walk:
-        steps.append(OrientedEdge(_tail(edge_list, ref), _head(edge_list, ref)))
-    return EdgePath(base, tuple(steps), closed)
+def _probe_loop(cplx, coloring, e):
+    # the geodesic segment e * loop * reverse(e) inside the color of e
+    x = _node(cplx, e)
+    loop = _connector(cplx, coloring.colors, coloring.colors[x >> 1], x, x)
+    return _path(cplx, [x, *loop, x ^ 1], e.tail, closed=False)
 
 
 def graph_connector(graph, e1, e2):
@@ -291,47 +293,15 @@ def graph_connector(graph, e1, e2):
     """
     if graph.dim > 1:
         raise PreconditionFailed("graph_connector needs a 1-complex")
-    edge_list = list(graph.cubes[1])
-    index = _oriented_refs(edge_list)
-    try:
-        r1, r2 = index[tuple(e1)], index[tuple(e2)]
-    except KeyError:
+    if graph.edge_index(*e1) is None or graph.edge_index(*e2) is None:
         raise PreconditionFailed("edge not in graph")
-    walk = connector_walk(edge_list, r1, r2)
-    return _walk_to_path(edge_list, walk, e1.head, closed=False)
-
-
-# ---------------------------------------------------------------------------
-# color subgraphs of a complex
-
-def color_component_edges(cplx, coloring, v, color):
-    """Edges of the color subgraph component X_{color, v}, in parent ids."""
-    edges = {}
-    adj = {}
-    for e in coloring.edges_of_color(color):
-        u, w = cplx.cubes[1][e]
-        adj.setdefault(u, []).append((w, e))
-        adj.setdefault(w, []).append((u, e))
-    if v not in adj:
-        raise PreconditionFailed("no color-%d edge at vertex %d" % (color, v))
-    seen = {v}
-    queue = [v]
-    while queue:
-        u = queue.pop()
-        for w, e in adj[u]:
-            edges[e] = cplx.cubes[1][e]
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return [edges[e] for e in sorted(edges)]
-
-
-def _probe_loop(cplx, edge_list, e):
-    # the geodesic segment e * loop * reverse(e) inside a color subgraph
-    ref = _oriented_refs(edge_list)[tuple(e)]
-    walk = connector_walk(edge_list, ref, ref)
-    inner = _walk_to_path(edge_list, walk, e.head, closed=False)
-    return EdgePath(e.tail, (e,) + inner.steps + (e.reverse,), closed=False)
+    if sum(len(part) > 1 for part in graph.vertex_components()) != 1:
+        raise NotConnected("graph is not connected")
+    colors = (0,) * graph.n_cubes(1)
+    if _is_circle(graph, colors, 0, e1.tail):
+        raise IsCircle("graph is a circle")
+    walk = _connector(graph, colors, 0, _node(graph, e1), _node(graph, e2))
+    return _path(graph, walk, e1.head, closed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +322,7 @@ def all_color_turn_cycle(cplx, coloring):
     """A closed local geodesic using every color, or None if none exists.
 
     Closed local geodesics are the closed walks of the turn graph, whose
-    nodes are the oriented edges (x = 2e + flip for the ref (e, flip)) and
+    nodes are the oriented edges (x = 2e + flip, as above) and
     whose arcs (u->v) -> (v->w) have w != u and no square on u, w at v.
     So one uses every color iff a strongly connected component with an arc
     does.  Kosaraju's passes are iterative; reversal x -> x ^ 1 maps the
@@ -365,9 +335,7 @@ def all_color_turn_cycle(cplx, coloring):
     table = [cplx.directions(v) for v in range(cplx.vertex_count)]
 
     def turns(x):
-        u, v = edges[x >> 1]
-        if x & 1:
-            u, v = v, u
+        u, v = _ends(edges, x)
         nbrs, out, masks = table[v]
         free = ~(masks[u] | 1 << nbrs.index(u))
         return [2 * e + (v > w) for j, (w, e) in enumerate(zip(nbrs, out))
@@ -413,8 +381,7 @@ def all_color_turn_cycle(cplx, coloring):
             walk += _bfs_walk(inside(walk[-1]), inside,
                               lambda y: colors[y >> 1] == k)
     walk += _bfs_walk(inside(walk[-1]), inside, start.__eq__)[:-1]
-    path = _walk_to_path(edges, [divmod(x, 2) for x in walk],
-                         _tail(edges, divmod(start, 2)), closed=True)
+    path = _path(cplx, walk, _ends(edges, start)[0], closed=True)
     if not rank_one_certificate(cplx, coloring, path):
         raise ConstructionFailed("turn cycle is not a certificate")
     return path
@@ -495,15 +462,8 @@ def build_all_color_geodesic(cplx, coloring, v, T):
         order.append(nxt)
         remaining.remove(nxt)
 
-    graphs = {}
-
-    def graph_of(color):
-        if color not in graphs:
-            graphs[color] = color_component_edges(cplx, coloring, v, color)
-        return graphs[color]
-
-    base_walk = loop_at_vertex(graph_of(order[0]), v)
-    path = _walk_to_path(graph_of(order[0]), base_walk, v, closed=True)
+    base_walk = _loop_at(cplx, coloring.colors, order[0], v)
+    path = _path(cplx, base_walk, v, closed=True)
 
     for t in range(1, len(order)):
         ck = order[t]
@@ -516,11 +476,11 @@ def build_all_color_geodesic(cplx, coloring, v, T):
         d_j, d_k = pair if cj <= ck else (pair[1], pair[0])
         e_jp = OrientedEdge(v, d_j)
         e_k = OrientedEdge(v, d_k)
-        c1 = _probe_loop(cplx, graph_of(ck), e_k)
-        c2 = _probe_loop(cplx, graph_of(cj), e_jp)
+        c1 = _probe_loop(cplx, coloring, e_k)
+        c2 = _probe_loop(cplx, coloring, e_jp)
         path, e_j = _rotate_to_color_at(cplx, coloring, path, v, cj)
         if e_jp != e_j:
-            c3 = _probe_loop(cplx, graph_of(cj), e_j)
+            c3 = _probe_loop(cplx, coloring, e_j)
             steps = c1.steps + c2.steps + path.steps + c3.steps + c2.steps
         else:
             steps = path.steps + c2.steps + c1.steps
@@ -544,10 +504,8 @@ def build_strict_pi_geodesic(cplx, coloring, v, a, b):
         raise PreconditionFailed("directions must have different colors")
     if distance_class(cplx, v, a, b) is not DistanceClass.MORE_THAN_PI:
         raise PreconditionFailed("directions are not strictly beyond pi")
-    c1 = _probe_loop(cplx, color_component_edges(cplx, coloring, v, i),
-                     OrientedEdge(v, a))
-    c2 = _probe_loop(cplx, color_component_edges(cplx, coloring, v, j),
-                     OrientedEdge(v, b))
+    c1 = _probe_loop(cplx, coloring, OrientedEdge(v, a))
+    c2 = _probe_loop(cplx, coloring, OrientedEdge(v, b))
     path = EdgePath(v, c1.steps + c2.steps, closed=True)
     ok, where = is_local_geodesic(cplx, path)
     if not ok:

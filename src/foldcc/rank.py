@@ -27,11 +27,11 @@ there Inconclusive means no closed all-color 1-skeleton geodesic exists.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import geodesic as geo
-from .core import render_report, validate_fcc
-from .decomposition import graph_of_spaces, is_covering, subcomplex_XT
+from .core import DisjointSet, render_report, validate_fcc
+from .decomposition import graph_of_spaces, is_covering
 from .errors import NotDim3, NotFCC
 from .folding import NotFoldable, coloring_from, find_folding
 from .geodesic import OrientedEdge
@@ -153,10 +153,9 @@ def verify_bipartition(cplx, coloring, T, S):
 def _single_class_vertex(cplx, coloring):
     full = frozenset(range(1, coloring.n + 1))
     for v in range(cplx.vertex_count):
-        simv = geo.sim_v_classes(cplx, coloring, v)
-        if simv.partition == (full,):
-            return v, simv
-    return None, None
+        if geo.sim_v_classes(cplx, coloring, v).partition == (full,):
+            return v
+    return None
 
 
 def _pi_pairs_at(cplx, coloring, v, color_a, color_b):
@@ -173,11 +172,13 @@ def _pi_pairs_at(cplx, coloring, v, color_a, color_b):
 def _step_d_search(cplx, coloring):
     """The theorem-proof construction over all blue/green/red rolings."""
     for blue, green, red in itertools.permutations(range(1, coloring.n + 1)):
-        pieces = subcomplex_XT(cplx, coloring, {blue}).components()
-        for piece in pieces:
+        pieces = DisjointSet(cplx.vertex_count)
+        for e in coloring.edges_of_color(blue):
+            pieces.union(*cplx.cubes[1][e])
+        for piece in pieces.groups():
             v_candidates = []   # (v', e_b tail blue dir, e_r red dir)
             w_candidates = []   # (v'', e_b' blue dir, e_g green dir)
-            for v in piece.to_parent:
+            for v in piece:
                 br = _pi_pairs_at(cplx, coloring, v, blue, red)
                 if br:
                     v_candidates.append((v, br[0]))
@@ -186,24 +187,16 @@ def _step_d_search(cplx, coloring):
                     w_candidates.append((v, bg[0]))
             if not v_candidates or not w_candidates:
                 continue
-            blue_edges = [tuple(cplx.cubes[1][e])
-                          for e in sorted(coloring.edges_of_color(blue))
-                          if cplx.cubes[1][e][0] in piece.vertex_index]
-            index = geo._oriented_refs(blue_edges)
             for (v1, (d_b, d_r)), (v2, (d_bp, d_g)) in itertools.product(
                     v_candidates, w_candidates):
-                walk = geo.connector_walk(
-                    blue_edges, index[(v1, d_b)], index[(v2, d_bp)])
-                inner = geo._walk_to_path(blue_edges, walk, d_b, closed=False)
-                c = geo.EdgePath(
-                    v1, (OrientedEdge(v1, d_b),) + inner.steps
-                    + (OrientedEdge(d_bp, v2),), closed=False)
-                c1 = geo._probe_loop(
-                    cplx, geo.color_component_edges(cplx, coloring, v1, red),
-                    OrientedEdge(v1, d_r))
-                c2 = geo._probe_loop(
-                    cplx, geo.color_component_edges(cplx, coloring, v2, green),
-                    OrientedEdge(v2, d_g))
+                # v1 has a blue-red pair at pi, so >= 3 blue directions
+                # (the Lemma): its blue component is no circle
+                x1 = geo._node(cplx, (v1, d_b))
+                x2 = geo._node(cplx, (v2, d_bp))
+                walk = geo._connector(cplx, coloring.colors, blue, x1, x2)
+                c = geo._path(cplx, [x1, *walk, x2 ^ 1], v1, closed=False)
+                c1 = geo._probe_loop(cplx, coloring, OrientedEdge(v1, d_r))
+                c2 = geo._probe_loop(cplx, coloring, OrientedEdge(v2, d_g))
                 path = geo.EdgePath(
                     v1, c.steps + c2.steps + c.reversed().steps + c1.steps,
                     closed=True)
@@ -276,7 +269,7 @@ def _detect(cplx, folding, coloring, complete):
         path = geo.build_strict_pi_geodesic(cplx, coloring, v, a, b)
         return RankReport("rank-one", cplx.dim, folding, coloring,
                           witness_path=path, certificate="strict-pi")
-    v, simv = _single_class_vertex(cplx, coloring)
+    v = _single_class_vertex(cplx, coloring)
     if v is not None:
         path = geo.build_all_color_geodesic(
             cplx, coloring, v, frozenset(range(1, n + 1)))

@@ -4,15 +4,16 @@ Every entry is checked to be an FCC before it enters the corpus; entries
 carry their folding and coloring so tests do not recompute them.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 
 import pytest
 
-from foldcc.core import validate_fcc
+from foldcc.core import SimplicialComplex, validate_fcc
 from foldcc.folding import Folding, coloring_from, find_folding
-from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
-                               torus_grid)
+from foldcc.generators import (cycle_graph, davis_X, davis_Y, hemispherex,
+                               product, torus_grid)
 
 
 @dataclass
@@ -44,9 +45,19 @@ def _hemispherex_X(m):
     return davis_X(hemispherex(2, m).complex).complex
 
 
+def _octahedra_wedge_Y():
+    # two octahedra (antipodal pairs as listed) wedged at vertex 0: a
+    # vertex of one and a vertex of the other are 3 edges apart
+    pairs = ([(0, 1), (2, 3), (4, 5)], [(0, 6), (7, 8), (9, 10)])
+    K = SimplicialComplex.from_maximal(
+        11, [t for p in pairs for t in itertools.product(*p)])
+    return davis_Y(K)
+
+
 @pytest.fixture(scope="session")
 def corpus3(hemispherex_meta):
-    """At least 20 dimension-3 FCCs: tori, products, hemispherex quotients."""
+    """At least 20 dimension-3 FCCs: tori, products, hemispherex quotients
+    and the Davis complex Y(K) of two octahedra wedged at a vertex."""
     entries = []
     for dims in [(4, 4, 4), (4, 4, 6), (4, 6, 6), (6, 6, 6), (4, 4, 8),
                  (4, 6, 8), (6, 6, 8)]:
@@ -64,6 +75,8 @@ def corpus3(hemispherex_meta):
                           "rank-one"))
     for m in [(2, 1, 1), (1, 2, 1), (1, 1, 2)]:
         entries.append(_entry("XH%s" % (m,), _hemispherex_X(m), "rank-one"))
+    entries.append(_entry("Y(octahedra wedge)", _octahedra_wedge_Y(),
+                          "rank-one"))
     assert len(entries) >= 20
     assert all(e.dim == 3 for e in entries)
     return entries
@@ -112,6 +125,11 @@ def x_hemispherex(corpus3):
         if e.name == "XH(1, 1, 1)":
             return e
     raise RuntimeError("octahedral hemispherex entry missing")
+
+
+@pytest.fixture(scope="session")
+def octahedra_wedge(corpus3):
+    return next(e for e in corpus3 if e.name == "Y(octahedra wedge)")
 
 
 @pytest.fixture(scope="session")

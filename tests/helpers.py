@@ -11,10 +11,13 @@ from collections import deque
 from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
                          _corner_picker, _face_pickers, canonical_cube,
                          canonical_frame, is_flag, link)
-from foldcc.errors import NotAComplex
+from foldcc.errors import (ConstructionFailed, IsCircle, NotAComplex,
+                           NotConnected, PreconditionFailed)
 from foldcc.decomposition import HyperplaneComponent, Subcomplex
 from foldcc.generators import Subdivision
-from foldcc.geodesic import DistanceClass, SimVClasses
+from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
+                             SimVClasses, is_local_geodesic,
+                             rank_one_certificate)
 
 
 def brute_force_nonspanning_clique(K):
@@ -378,6 +381,26 @@ def reference_distance_class(link_adj, v, a, b):
     return DistanceClass.MORE_THAN_PI
 
 
+def certifies_rank_one(cplx, coloring, report):
+    """Re-check the witness of a rank-one report by its certificate.
+
+    An "all-colors" witness must pass `rank_one_certificate`.  A
+    "strict-pi" witness is a closed local geodesic with a junction whose
+    two directions are strictly beyond pi in the link (classified on the
+    set-based table), so no flat half-plane bounds it; from dimension 3 on
+    it need not use every color.
+    """
+    path = report.witness_path
+    if report.certificate != "strict-pi":
+        return rank_one_certificate(cplx, coloring, path)
+    link_adj = reference_link_adj(cplx)
+    steps = path.steps
+    return (path.closed and is_local_geodesic(cplx, path) == (True, None)
+            and any(reference_distance_class(link_adj, s.tail, r.tail, s.head)
+                    is DistanceClass.MORE_THAN_PI
+                    for r, s in zip(steps[-1:] + steps[:-1], steps)))
+
+
 def reference_sim_v_classes(cplx, coloring, link_adj, v):
     """sim_v_classes over pairs of directions classified on sets."""
     n = coloring.n
@@ -498,3 +521,155 @@ def reference_diagonal_scan(cplx):
                 if other is not cube:
                     raise NotAComplex("cube intersection is not a face",
                                       detail=(other, cube))
+
+
+# ---------------------------------------------------------------------------
+# the edge-list walk engine that the oriented-edge walks of foldcc.geodesic
+# replaced, kept verbatim: each color component is copied into an edge
+# list, walked by (edge index, flip) refs over a sorted adjacency
+
+
+def _oriented_refs(edge_list):
+    # oriented edge (tail, head) -> its ref (edge index, flip)
+    index = {}
+    for i, (u, w) in enumerate(edge_list):
+        index[(u, w)] = (i, 0)
+        index[(w, u)] = (i, 1)
+    return index
+
+
+def _adjacency(edge_list):
+    adj = {}
+    for idx, (u, w) in enumerate(edge_list):
+        adj.setdefault(u, []).append((idx, 0))
+        adj.setdefault(w, []).append((idx, 1))
+    for v in adj:
+        adj[v].sort(key=lambda r: (_head(edge_list, r), r[0]))
+    return adj
+
+
+def _head(edge_list, ref):
+    idx, flip = ref
+    return edge_list[idx][1 - flip]
+
+
+def _tail(edge_list, ref):
+    idx, flip = ref
+    return edge_list[idx][flip]
+
+
+def _check_graph(edge_list, require_not_circle=True):
+    adj = _adjacency(edge_list)
+    if adj:
+        ds = DisjointSet(max(adj) + 1)
+        for u, w in edge_list:
+            ds.union(u, w)
+        if len(ds.groups(adj)) != 1:
+            raise NotConnected("graph is not connected")
+        if require_not_circle and all(len(refs) == 2 for refs in adj.values()):
+            raise IsCircle("graph is a circle")
+    return adj
+
+
+def _bfs_walk(first, succ, goal):
+    # shortest walk (a list of nodes) from a node of `first` along succ to
+    # a goal node, ties broken by queue order; None if there is none
+    prev = dict.fromkeys(first)
+    queue = deque(first)
+    while queue:
+        x = queue.popleft()
+        if goal(x):
+            walk = [x]
+            while prev[walk[-1]] is not None:
+                walk.append(prev[walk[-1]])
+            return walk[::-1]
+        for y in succ(x):
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    return None
+
+
+def _forward(edge_list, adj):
+    # the non-backtracking successors of an oriented ref
+    return lambda ref: [nxt for nxt in adj.get(_head(edge_list, ref), ())
+                        if nxt != (ref[0], 1 - ref[1])]
+
+
+def reference_connector_walk(edge_list, e1, e2):
+    """Lemma-backed connector in a multigraph.
+
+    Edges are (u, w) pairs; an oriented ref is (edge index, flip) with
+    flip = 1 traversing w->u.  Returns the shortest walk c from the head of
+    e1 to the head of e2 such that reverse(e2) * c * e1 is non-backtracking
+    at every junction; ties break on canonical edge order.
+    """
+    succ = _forward(edge_list, _check_graph(edge_list))
+    goal_v = _head(edge_list, e2)
+    if _head(edge_list, e1) == goal_v and e1 != e2:
+        return []
+    walk = _bfs_walk(succ(e1), succ, lambda ref: (
+        _head(edge_list, ref) == goal_v and ref != e2))
+    if walk is None:
+        raise ConstructionFailed("no connector walk exists (valence-1 vertex?)")
+    return walk
+
+
+def reference_loop_at_vertex(edge_list, v):
+    """Shortest non-backtracking closed walk based at v, with a legal
+    closing junction (first step is not the reverse of the last)."""
+    adj = _check_graph(edge_list, require_not_circle=False)
+    if v not in adj:
+        raise ConstructionFailed("vertex %d has no edges" % v)
+    succ = _forward(edge_list, adj)
+    walks = [_bfs_walk([start], succ, lambda ref: (
+        _head(edge_list, ref) == v and ref != (start[0], 1 - start[1])))
+        for start in adj[v]]
+    walks = [walk for walk in walks if walk is not None]
+    if not walks:
+        raise ConstructionFailed("no closed loop through vertex %d" % v)
+    return min(walks, key=len)
+
+
+def _walk_to_path(edge_list, walk, base, closed):
+    steps = []
+    for ref in walk:
+        steps.append(OrientedEdge(_tail(edge_list, ref), _head(edge_list, ref)))
+    return EdgePath(base, tuple(steps), closed)
+
+
+def reference_color_component_edges(cplx, coloring, v, color):
+    """Edges of the color subgraph component X_{color, v}, in parent ids."""
+    edges = {}
+    adj = {}
+    for e in coloring.edges_of_color(color):
+        u, w = cplx.cubes[1][e]
+        adj.setdefault(u, []).append((w, e))
+        adj.setdefault(w, []).append((u, e))
+    if v not in adj:
+        raise PreconditionFailed("no color-%d edge at vertex %d" % (color, v))
+    seen = {v}
+    queue = [v]
+    while queue:
+        u = queue.pop()
+        for w, e in adj[u]:
+            edges[e] = cplx.cubes[1][e]
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return [edges[e] for e in sorted(edges)]
+
+
+def reference_probe_loop(cplx, edge_list, e):
+    # the geodesic segment e * loop * reverse(e) inside a color subgraph
+    ref = _oriented_refs(edge_list)[tuple(e)]
+    walk = reference_connector_walk(edge_list, ref, ref)
+    inner = _walk_to_path(edge_list, walk, e.head, closed=False)
+    return EdgePath(e.tail, (e,) + inner.steps + (e.reverse,), closed=False)
+
+
+def reference_loop_path(edge_list, v):
+    """The base loop of the all-color builder, as the edge-list engine
+    built it from the color component's edge list."""
+    walk = reference_loop_at_vertex(edge_list, v)
+    return _walk_to_path(edge_list, walk, v, closed=True)

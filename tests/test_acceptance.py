@@ -22,7 +22,7 @@ from foldcc.geodesic import (DistanceClass, OrientedEdge, distance_class,
                              rank_one_certificate, sim_v_classes, transfer)
 from foldcc.rank import detect_rank3, splitting_bipartitions
 
-from helpers import link_graph_distances
+from helpers import certifies_rank_one, link_graph_distances
 
 
 def _stamp(n, detail):
@@ -130,8 +130,8 @@ def test_criterion_4_dichotomy_completeness(corpus3):
         assert report.verdict != "inconclusive", entry.name
         assert report.verdict == entry.expect, entry.name
         if report.verdict == "rank-one":
-            assert rank_one_certificate(entry.complex, entry.coloring,
-                                        report.witness_path), entry.name
+            assert certifies_rank_one(entry.complex, entry.coloring,
+                                      report), entry.name
             assert not report.all_bipartitions
         verdicts[entry.name] = report.verdict
     elapsed = time.monotonic() - t0

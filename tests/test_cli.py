@@ -314,6 +314,26 @@ class TestOtherCommands:
             assert_refusal(out, err)
             assert "UnknownVertex" in err
 
+    @pytest.mark.parametrize("cubes, reason", [
+        # a 4-edge path: no walk comes back to its end
+        ([(v, v + 1) for v in range(4)],
+         "no closed loop through vertex 0"),
+        # the slit strip: 6 squares on the circle 0..5 with tops 6..11,
+        # except that the square on (5, 0) ends at a separate top 12, so
+        # the rung colour at 0 runs 6-0-12 and stops
+        ([(v, v + 1, v + 6, v + 7) for v in range(5)] + [(5, 0, 11, 12)],
+         "no connector walk exists (valence-1 vertex?)"),
+    ])
+    def test_geodesic_reports_a_failed_walk(self, tmp_path, capsys, cubes,
+                                            reason):
+        f = tmp_path / "c.cplx"
+        cplx = CubicalComplex.from_maximal_cubes(
+            max(map(max, cubes)) + 1, cubes)
+        f.write_text(serialize_complex(cplx))
+        code, out, err = run(capsys, "geodesic", str(f), "--from", "0")
+        assert code == 0 and err == ""
+        assert "class.0.path = unavailable (%s)\n" % reason in out
+
     def test_info(self, tmp_path, capsys):
         f = tmp_path / "t.cplx"
         run(capsys, "generate", "torus:4,4", "--out", str(f))

@@ -3,23 +3,24 @@ from hypothesis import given, settings, strategies as st
 
 from foldcc import rank
 from foldcc.core import CubicalComplex, load_complex
-from foldcc.errors import (ConstructionFailed, IsCircle, MismatchedBase,
-                           NotClosed, NotSingleClass, PreconditionFailed,
-                           UnknownVertex)
+from foldcc.errors import (FoldccError, IsCircle, MismatchedBase, NotClosed,
+                           NotSingleClass, PreconditionFailed, UnknownVertex)
 from foldcc.folding import coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex,
                                origin_direction, product, torus_grid)
 from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
+                             _loop_at, _path, _probe_loop,
                              build_all_color_geodesic,
-                             build_strict_pi_geodesic, connector_walk,
-                             distance_class, graph_connector,
-                             is_local_geodesic, loop_at_vertex,
+                             build_strict_pi_geodesic, distance_class,
+                             graph_connector, is_local_geodesic,
                              perpendicular_set, rank_one_certificate,
                              serialize_path, sim_v_classes, transfer)
 
-from helpers import (link_graph_distances, reference_cross_pairs,
-                     reference_distance_class, reference_link_adj,
-                     reference_sim_v_classes, relabelled)
+from helpers import (link_graph_distances, reference_color_component_edges,
+                     reference_cross_pairs, reference_distance_class,
+                     reference_link_adj, reference_loop_path,
+                     reference_probe_loop, reference_sim_v_classes,
+                     relabelled)
 
 SQUARE = load_complex("cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n")
 
@@ -180,12 +181,10 @@ class TestLocalGeodesic:
     def test_closing_junction_checked(self, x_double_arc):
         # a probe segment e * loop * reverse(e) is a legal open geodesic;
         # closing it up backtracks exactly at the base junction
-        from foldcc.geodesic import _probe_loop, color_component_edges
         cplx, coloring = x_double_arc.complex, x_double_arc.coloring
         v = 0
         w = next(w for w in cplx.neighbors(v) if coloring.of_pair(v, w) == 1)
-        seg = _probe_loop(cplx, color_component_edges(cplx, coloring, v, 1),
-                          OrientedEdge(v, w))
+        seg = _probe_loop(cplx, coloring, OrientedEdge(v, w))
         assert is_local_geodesic(cplx, seg) == (True, None)
         closed = EdgePath(v, seg.steps, True)
         ok, junction = is_local_geodesic(cplx, closed)
@@ -287,11 +286,14 @@ class TestLemmaTwoLink:
 
 class TestConnector:
     def test_theta_graph_loop(self):
-        theta = [(0, 1), (0, 1), (0, 1)]
-        walk = connector_walk(theta, (0, 0), (0, 0))
-        assert len(walk) == 2
-        assert walk[0][0] != 0 and walk[1][0] != 0
-        assert walk[0][0] != walk[1][0]
+        # three 2-edge arcs 0-m-1 (m = 2, 3, 4): the probe loop from 0->2
+        # leaves along the other two arcs before it returns to 2
+        theta = CubicalComplex.from_maximal_cubes(
+            5, [(0, m) for m in (2, 3, 4)] + [(m, 1) for m in (2, 3, 4)])
+        e = OrientedEdge(0, 2)
+        c = graph_connector(theta, e, e)
+        assert c.vertices() == [2, 1, 3, 0, 4, 1, 2]
+        assert c.steps[0] != e.reverse and c.steps[-1] != e
 
     def test_circle_raises(self):
         square_cycle = cycle_graph(4)
@@ -315,10 +317,66 @@ class TestConnector:
         full = EdgePath(pole, (e,) + c.steps + (e.reverse,), False)
         assert full.vertices()[0] == pole
 
-    def test_loop_at_vertex_on_even_cycle(self):
-        edges = list(cycle_graph(6).cubes[1])
-        walk = loop_at_vertex(edges, 0)
-        assert len(walk) == 6
+    def test_loop_at_vertex_on_even_cycle(self, corpus1):
+        entry = corpus1[1]  # C6
+        path = build_all_color_geodesic(entry.complex, entry.coloring, 0, {1})
+        assert len(path) == 6
+
+    def test_graph_without_edges(self):
+        # a 0-complex holds no edge to connect from
+        points = CubicalComplex.from_maximal_cubes(3, [(0,), (1,), (2,)])
+        e = OrientedEdge(0, 1)
+        with pytest.raises(PreconditionFailed, match="edge not in graph"):
+            graph_connector(points, e, e)
+
+    def test_probe_loop_on_a_circle(self, torus44):
+        # a color component of the flat torus is a circle, so the probe
+        # loop can only come back along its first edge
+        with pytest.raises(IsCircle, match="graph is a circle"):
+            _probe_loop(torus44.complex, torus44.coloring, OrientedEdge(0, 1))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except FoldccError as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstTheEdgeListEngine:
+    # the walks on oriented edges against the edge-list engine they
+    # replaced: the same walk, or the same exception type and text
+    def test_loops_and_probe_loops(self, corpus2, x_hemispherex,
+                                   octahedra_wedge):
+        checked = 0
+        for entry in corpus2 + [x_hemispherex, octahedra_wedge]:
+            cplx, coloring = entry.complex, entry.coloring
+            component = {}  # (color, vertex) -> its component's edge list
+
+            def edge_list(color, v):
+                # every vertex of a component has the same edge list
+                if (color, v) not in component:
+                    edges = reference_color_component_edges(
+                        cplx, coloring, v, color)
+                    component.update(((color, u), edges)
+                                     for e in edges for u in e)
+                return component[(color, v)]
+
+            for v in range(0, cplx.vertex_count, 17):
+                for color in range(1, coloring.n + 1):
+                    got = _outcome(lambda: _path(cplx, _loop_at(
+                        cplx, coloring.colors, color, v), v, closed=True))
+                    want = _outcome(lambda: reference_loop_path(
+                        edge_list(color, v), v))
+                    assert got == want, (entry.name, v, color)
+                for w in cplx.neighbors(v):
+                    e = OrientedEdge(v, w)
+                    got = _outcome(lambda: _probe_loop(cplx, coloring, e))
+                    want = _outcome(lambda: reference_probe_loop(
+                        cplx, edge_list(coloring.of_pair(v, w), v), e))
+                    assert got == want, (entry.name, e)
+                    checked += 1
+        assert checked > 1000
 
 
 class TestCertificate:

@@ -13,6 +13,8 @@ from foldcc.geodesic import all_color_turn_cycle, rank_one_certificate
 from foldcc.rank import (_step_d_search, detect_rank3, detect_rank_general,
                          splitting_bipartitions, verify_bipartition)
 
+from helpers import certifies_rank_one
+
 
 class TestSplittingBipartitions:
     def test_torus_accepts_all_three(self, corpus3):
@@ -102,6 +104,22 @@ class TestStepD:
                                     x_hemispherex.coloring, path)
 
 
+class TestStepB:
+    def test_octahedra_wedge_is_strict_pi(self, octahedra_wedge):
+        # the first dimension-3 input that step (b) decides
+        cplx = octahedra_wedge.complex
+        assert cplx.n_cubes(3) == 4096
+        report = detect_rank3(cplx, folding=octahedra_wedge.folding)
+        assert report.verdict == "rank-one"
+        assert report.certificate == "strict-pi"
+        assert len(report.witness_path) == 12
+        # two probe loops: the witness misses a color, so only its strict
+        # pi junction certifies it
+        assert not rank_one_certificate(cplx, octahedra_wedge.coloring,
+                                        report.witness_path)
+        assert certifies_rank_one(cplx, octahedra_wedge.coloring, report)
+
+
 class TestDetectGeneral:
     def test_dimension_one_graph(self, corpus1):
         for entry in corpus1:
@@ -140,7 +158,7 @@ class TestDetectGeneral:
 
     def test_turn_cycle_reached_past_step_c(self, corpus1, monkeypatch):
         monkeypatch.setattr(rank, "_single_class_vertex",
-                            lambda cplx, coloring: (None, None))
+                            lambda cplx, coloring: None)
         entry = corpus1[1]  # C6
         report = detect_rank_general(entry.complex, folding=entry.folding,
                                      assume_fcc=True)
@@ -206,8 +224,7 @@ class TestWitnessSoundness:
                 continue
             report = detect_rank3(entry.complex, folding=entry.folding,
                                   assume_fcc=True)
-            assert rank_one_certificate(entry.complex, entry.coloring,
-                                        report.witness_path)
+            assert certifies_rank_one(entry.complex, entry.coloring, report)
 
     def test_split_witnesses_reverify(self, corpus3):
         for entry in corpus3:
