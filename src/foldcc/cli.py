@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import core, decomposition, generators, geodesic, rank
-from .errors import ConstructionFailed, FoldccError, NotAComplex, ParseError
+from .errors import ConstructionFailed, FoldccError, NotFCC, ParseError
 from .folding import (NotFoldable, coloring_from, find_folding,
                       serialize_folding)
 
@@ -71,10 +71,10 @@ def cmd_fold(args):
 
 
 def _colored(path):
-    cplx = core.load_complex(_read(path))
+    cplx = _load(path)
     folding = find_folding(cplx)
     if isinstance(folding, NotFoldable):
-        raise NotAComplex("complex is not foldable")
+        raise NotFCC("complex is not foldable")
     return cplx, coloring_from(folding)
 
 

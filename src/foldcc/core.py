@@ -243,8 +243,7 @@ class CubicalComplex:
         self._faces = face_table
         self._adj = None
         self._star = None
-        self._cofaces = None
-        self._n_cofaces = None
+        self._n_above = None
         self._maximal = None
         self._axes = {}
 
@@ -321,28 +320,16 @@ class CubicalComplex:
         return [(k - 1, fi)
                 for fi in self._faces[k][2 * k * i:2 * k * (i + 1)]]
 
-    def _build_cofaces(self):
-        if self._cofaces is None:
-            tables = [[[] for _ in level] for level in self.cubes]
-            for d, row in enumerate(self._faces):
-                for j, fi in enumerate(row):
-                    tables[d - 1][fi].append((d, j // (2 * d)))
-            self._cofaces = tables
-        return self._cofaces
-
-    def cofaces(self, k, i):
-        return self._build_cofaces()[k][i]
-
     def _coface_counts(self, k):
-        """Number of cofaces of every k-cube, by index."""
-        if self._n_cofaces is None:
+        """Number of (k+1)-cubes above every k-cube, by index."""
+        if self._n_above is None:
             counts = [[0] * len(level) for level in self.cubes]
             for d, row in enumerate(self._faces):
                 below = counts[d - 1]
                 for fi in row:
                     below[fi] += 1
-            self._n_cofaces = counts
-        return self._n_cofaces[k]
+            self._n_above = counts
+        return self._n_above[k]
 
     def maximal_cubes(self):
         """Cubes that are no face of another cube, in (dim, index) order."""
@@ -471,12 +458,10 @@ class CubicalComplex:
 
 @dataclass
 class ComponentPiece:
-    """A connected component with index maps back to its parent complex,
-    per dimension in `local_index` (level 0 is `vertex_index`)."""
+    """A connected component with its vertex maps back to the parent."""
     complex: CubicalComplex
     to_parent: tuple          # new vertex id -> parent vertex id
     vertex_index: dict        # parent vertex id -> new vertex id
-    local_index: list = None  # per dim: parent cube index -> new index
 
 
 def restrict_complex(parent, cube_refs):
@@ -487,8 +472,7 @@ def restrict_complex(parent, cube_refs):
     NotAComplex names a missing face.  The vertices are renumbered in
     increasing order, which keeps canonical cubes canonical and levels
     sorted: each level is the listed parent cubes in parent order, each
-    face entry the parent's, renumbered; nothing is closed again.  The
-    renumberings are the piece's `local_index`.
+    face entry the parent's, renumbered; nothing is closed again.
     """
     chosen = [set() for _ in parent.cubes]
     for k, i in cube_refs:
@@ -510,7 +494,20 @@ def restrict_complex(parent, cube_refs):
         cubes.append(tuple(tuple(map(index[0].__getitem__,
                                      parent.cubes[k][i])) for i in refs))
     cplx = CubicalComplex(len(index[0]), tuple(cubes), face_table)
-    return ComponentPiece(cplx, tuple(index[0]), index[0], index)
+    return ComponentPiece(cplx, tuple(index[0]), index[0])
+
+
+def _split(parent, cube_refs):
+    # the pieces of a face-closed set of parent cubes, one per component of
+    # its 1-skeleton, ordered by least parent vertex
+    ds = DisjointSet(parent.vertex_count)
+    for k, i in cube_refs:
+        if k == 1:
+            ds.union(*parent.cubes[1][i])
+    root, groups = [ds.find(v) for v in range(parent.vertex_count)], {}
+    for k, i in cube_refs:
+        groups.setdefault(root[parent.cubes[k][i][0]], []).append((k, i))
+    return [restrict_complex(parent, groups[r]) for r in sorted(groups)]
 
 
 def components(cplx):
@@ -518,20 +515,8 @@ def components(cplx):
 
     Components are ordered by their least parent vertex.
     """
-    parts = cplx.vertex_components()
-    if len(parts) == 1:
-        index = [{i: i for i in range(len(level))} for level in cplx.cubes]
-        return [ComponentPiece(cplx, tuple(range(cplx.vertex_count)),
-                               index[0], index)]
-    where = {}
-    for ci, part in enumerate(parts):
-        for v in part:
-            where[v] = ci
-    refs = [[] for _ in parts]
-    for k, level in enumerate(cplx.cubes):
-        for i, cube in enumerate(level):
-            refs[where[cube[0]]].append((k, i))
-    return [restrict_complex(cplx, r) for r in refs]
+    return _split(cplx, [(k, i) for k, level in enumerate(cplx.cubes)
+                         for i in range(len(level))])
 
 
 # ---------------------------------------------------------------------------
@@ -786,15 +771,15 @@ def _flag_witness(cplx):
 
     A clique grows one direction at a time, so the link at v is flag iff
     every direction link-adjacent to all directions of a k-cube s at v,
-    k >= 2, spans a (k+1)-coface of s with them.  This assumes that
+    k >= 2, spans a (k+1)-cube above s with them.  This assumes that
     distinct cubes at v have distinct direction sets.  The intersection
     axiom gives it: two k-cubes at v on the same directions share v and
     its k neighbours, and the only face holding those is the whole cube,
     so the two are one cube.  The generators build complexes that satisfy
-    it.  Cofaces of s then add distinct directions, so the test is a
-    count: s has as many (k+1)-cofaces as its directions have common link
-    neighbours (a top cube none), an `&` of the link masks of the
-    direction table (`CubicalComplex.directions`).  A vertex that fails
+    it.  Cubes above s then add distinct directions, so the test is a
+    count: s has as many (k+1)-cubes above it as its directions have
+    common link neighbours (a top cube none), an `&` of the link masks of
+    the direction table (`CubicalComplex.directions`).  A vertex that fails
     the count gets its link built, and `is_flag` confirms it and names
     the witness.
     """

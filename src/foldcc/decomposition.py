@@ -21,7 +21,7 @@ from functools import lru_cache
 from operator import itemgetter
 
 from .core import (ComponentPiece, CubicalComplex, DisjointSet,
-                   _corner_picker, restrict_complex, spanning_forest_labels)
+                   _corner_picker, _split, spanning_forest_labels)
 from .errors import BadColorSet, NotFCC
 
 
@@ -34,16 +34,7 @@ class Subcomplex:
 
     def components(self):
         """Component pieces ordered by least contained parent vertex."""
-        parent = self.parent
-        ds = DisjointSet(parent.vertex_count)
-        for k, i in self.refs:
-            if k == 1:
-                ds.union(*parent.cubes[1][i])
-        root, groups = [ds.find(v) for v in range(parent.vertex_count)], {}
-        for ref in self.refs:
-            k, i = ref
-            groups.setdefault(root[parent.cubes[k][i][0]], []).append(ref)
-        return [restrict_complex(parent, groups[r]) for r in sorted(groups)]
+        return _split(self.parent, self.refs)
 
 
 def subcomplex_XT(cplx, coloring, T):
@@ -63,16 +54,15 @@ def subcomplex_XT(cplx, coloring, T):
 
 @dataclass
 class HyperplaneComponent:
-    """A component of H_i with its carrier bookkeeping.
+    """A component of H_i.
 
     Vertices of the component are color-i edges of the parent
-    (edge_of_vertex maps back); carrier maps a component cube to the parent
-    cube it is the midcube of.
+    (edge_of_vertex maps back); a component cube is the midcube of the
+    parent cube that holds the edges at its corners.
     """
     color: int
     complex: CubicalComplex
     edge_of_vertex: tuple      # component vertex -> parent edge index
-    carrier: dict              # (k, idx) in component -> (k+1, parent idx)
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +130,7 @@ def hyperplanes(cplx, coloring, color):
             levels.pop()
         verts = [e for (e,), _, _ in levels[0]]
         below = local = dict(zip(verts, range(len(verts))))
-        cubes, face_table, carrier = [], [[]], {}
+        cubes, face_table = [], [[]]
         for d, level in enumerate(levels):
             level.sort()
             cubes.append(tuple(tuple(map(local.__getitem__, corners))
@@ -150,12 +140,9 @@ def hyperplanes(cplx, coloring, color):
                 face_table.append([below[row[w * i + o]]
                                    for _, i, offsets in level
                                    for o in offsets])
-                carrier.update(((d, j), (d + 1, i))
-                               for j, (_, i, _) in enumerate(level))
                 below = {i: j for j, (_, i, _) in enumerate(level)}
-        carrier.update(((0, j), (1, e)) for j, e in enumerate(verts))
         cx = CubicalComplex(len(verts), tuple(cubes), face_table)
-        out.append(HyperplaneComponent(color, cx, tuple(verts), carrier))
+        out.append(HyperplaneComponent(color, cx, tuple(verts)))
     return out
 
 
@@ -181,14 +168,14 @@ class AttachingMap:
     """Combinatorial map from an edge space into a vertex space.
 
     vertex_map[w] is the vertex-space local id of the parity-`side`
-    endpoint of the color-i edge w; cube_map sends each edge-space cube to
-    the matching side face of its carrier.
+    endpoint of the color-i edge w.  It fixes the whole map: an edge-space
+    cube goes to the side face of its carrier, the vertex-space cube on
+    the images of its corners, and no other cube has that vertex set.
     """
     side: int
     edge_space: HyperplaneComponent
     vertex_space: ComponentPiece
     vertex_map: tuple
-    cube_map: dict
 
 
 @dataclass
@@ -274,10 +261,7 @@ def graph_of_spaces(cplx, coloring, color):
     edge_spaces = hyperplanes(cplx, coloring, color)
     parity = direction_parity(cplx, coloring, color)
 
-    axis_of = {k: _color_axes(cplx, coloring, color, k)
-               for k in range(2, cplx.dim + 1)}
-    base_edges = []
-    attaching = []
+    base_edges, attaching = [], []
     for h in edge_spaces:
         sides = []
         for b in (0, 1):
@@ -289,17 +273,7 @@ def graph_of_spaces(cplx, coloring, color):
             bi = bset.pop()
             piece = vertex_spaces[bi]
             local_vmap = tuple(piece.vertex_index[v] for v in vmap)
-            cube_map = {}
-            for (k, j), (_, i) in h.carrier.items():
-                if k == 0:
-                    cube_map[(k, j)] = (0, local_vmap[j])
-                    continue
-                # side b: the color-axis face on side b ^ parity(corner 0)
-                side = parity[cplx.cubes[k + 1][i][0]] ^ b
-                face = cplx._faces[k + 1][
-                    2 * (k + 1) * i + 2 * axis_of[k + 1][i] + side]
-                cube_map[(k, j)] = (k, piece.local_index[k][face])
-            sides.append((bi, AttachingMap(b, h, piece, local_vmap, cube_map)))
+            sides.append((bi, AttachingMap(b, h, piece, local_vmap)))
         base_edges.append((sides[0][0], sides[1][0]))
         attaching.append((sides[0][1], sides[1][1]))
     return GraphOfSpaces(color, vertex_spaces, edge_spaces,
@@ -318,19 +292,13 @@ def _color_axes(cplx, coloring, color, k):
 def count_identity_holds(cplx, coloring, color):
     """#k-cubes(X) = #k-cubes(X_{T_i}) + #(k-1)-cubes(H_i) for every k."""
     T = frozenset(range(1, coloring.n + 1)) - {color}
+    counts = [0] * (cplx.dim + 1)
     if T:
-        xt = subcomplex_XT(cplx, coloring, T)
-        xt_counts = {}
-        for k, i in xt.refs:
-            xt_counts[k] = xt_counts.get(k, 0) + 1
+        for k, _ in subcomplex_XT(cplx, coloring, T).refs:
+            counts[k] += 1
     else:
-        xt_counts = {0: cplx.vertex_count}
-    h_counts = {}
+        counts[0] = cplx.vertex_count
     for h in hyperplanes(cplx, coloring, color):
         for k, level in enumerate(h.complex.cubes):
-            h_counts[k] = h_counts.get(k, 0) + len(level)
-    for k in range(cplx.dim + 1):
-        total = xt_counts.get(k, 0) + h_counts.get(k - 1, 0)
-        if total != cplx.n_cubes(k):
-            return False
-    return True
+            counts[k + 1] += len(level)
+    return counts == list(cplx.cell_counts())

@@ -318,6 +318,17 @@ def rank_one_certificate(cplx, coloring, path):
     return path.color_set(coloring) == set(range(1, coloring.n + 1))
 
 
+def strict_pi_certificate(cplx, path):
+    """True iff the path is a closed local geodesic with a junction (the
+    closing one included) whose two directions are strictly beyond pi;
+    no flat half-plane then bounds it, whatever colors it uses."""
+    steps = path.steps
+    return (path.closed and is_local_geodesic(cplx, path)[0]
+            and any(distance_class(cplx, s.tail, r.tail, s.head)
+                    is DistanceClass.MORE_THAN_PI
+                    for r, s in zip(steps[-1:] + steps[:-1], steps)))
+
+
 def all_color_turn_cycle(cplx, coloring):
     """A closed local geodesic using every color, or None if none exists.
 

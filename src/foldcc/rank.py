@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from . import geodesic as geo
 from .core import DisjointSet, render_report, validate_fcc
 from .decomposition import graph_of_spaces, is_covering
-from .errors import NotDim3, NotFCC
+from .errors import ConstructionFailed, NotDim3, NotFCC
 from .folding import NotFoldable, coloring_from, find_folding
 from .geodesic import OrientedEdge
 
@@ -267,6 +267,8 @@ def _detect(cplx, folding, coloring, complete):
     if strict is not None:
         v, a, b = strict
         path = geo.build_strict_pi_geodesic(cplx, coloring, v, a, b)
+        if not geo.strict_pi_certificate(cplx, path):
+            raise ConstructionFailed("strict-pi witness fails its certificate")
         return RankReport("rank-one", cplx.dim, folding, coloring,
                           witness_path=path, certificate="strict-pi")
     v = _single_class_vertex(cplx, coloring)

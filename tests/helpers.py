@@ -103,7 +103,7 @@ def assert_incidence(cplx):
     faces, cofaces, maximal = recomputed_incidence(cplx)
     for k, level in enumerate(cplx.cubes):
         assert [cplx.faces(k, i) for i in range(len(level))] == faces[k]
-        assert [cplx.cofaces(k, i) for i in range(len(level))] == cofaces[k]
+        assert cplx._coface_counts(k) == [len(c) for c in cofaces[k]]
     assert cplx.maximal_cubes() == maximal
     for k in range(1, len(cplx.cubes)):
         assert cplx.axis_edges(k) == [cplx.edge_index(cube[0], cube[1 << ax])
@@ -128,18 +128,6 @@ def assert_vertex_set_lookups(cplx):
     u, w = next(((u, w) for u, w in itertools.combinations(
         range(cplx.vertex_count), 2) if (u, w) not in edges), (0, 0))
     assert cplx.edge_index(u, w) is None
-
-
-def assert_local_index(parent, piece):
-    """local_index[k] sends each parent k-cube of the piece to the piece's
-    cube on the renumbered corners, and level 0 is vertex_index."""
-    assert piece.local_index[0] is piece.vertex_index
-    assert len(piece.local_index) == len(piece.complex.cubes)
-    for k, index in enumerate(piece.local_index):
-        assert sorted(index.values()) == list(range(piece.complex.n_cubes(k)))
-        for i, j in index.items():
-            assert piece.complex.cubes[k][j] == tuple(
-                piece.vertex_index[v] for v in parent.cubes[k][i])
 
 
 def relabelled(cplx, rng):
@@ -204,6 +192,9 @@ def midcube_corners(cplx, k, i, axis):
 
 
 def reference_hyperplanes(cplx, coloring, color):
+    """The components of H_color, and beside them the carrier of each:
+    a dict from every component cube (k, i) to the parent cube (k + 1, j)
+    it is the midcube of."""
     mids = []   # (parent ref, midcube corner tuple of parent edge indices)
     for k in range(1, cplx.dim + 1):
         for i in range(cplx.n_cubes(k)):
@@ -219,7 +210,7 @@ def reference_hyperplanes(cplx, coloring, color):
     comp_mids = [[] for _ in groups]
     for ref, corners in mids:
         comp_mids[comp_of[corners[0]]].append((ref, corners))
-    out = []
+    out, carriers = [], []
     for verts, own in zip(groups, comp_mids):
         local = {e: j for j, e in enumerate(verts)}
         carrier_by_vset = {frozenset(local[e] for e in corners): ref
@@ -233,14 +224,17 @@ def reference_hyperplanes(cplx, coloring, color):
                 carrier[(k, i)] = carrier_by_vset[frozenset(cube)]
         for i in range(cx.n_cubes(0)):
             carrier[(0, i)] = (1, verts[i])
-        out.append(HyperplaneComponent(color, cx, tuple(verts), carrier))
-    return out
+        out.append(HyperplaneComponent(color, cx, tuple(verts)))
+        carriers.append(carrier)
+    return out, carriers
 
 
-def reference_cube_map(cplx, coloring, color, parity, h, b, piece):
-    """The side-b cube map of edge space h into the vertex space `piece`."""
+def reference_cube_map(cplx, coloring, color, parity, h, carrier, b, piece):
+    """The side-b cube map of edge space h, whose carrier dict is
+    `carrier`, into the vertex space `piece`: each cube goes to the side-b
+    face of its carrier."""
     cube_map, by_vset = {}, vertex_set_map(piece.complex)
-    for (k, j), (pk, pi) in h.carrier.items():
+    for (k, j), (pk, pi) in carrier.items():
         if k == 0:
             u1, u2 = cplx.cubes[1][h.edge_of_vertex[j]]
             cube_map[(k, j)] = (0, piece.vertex_index[
@@ -252,6 +246,31 @@ def reference_cube_map(cplx, coloring, color, parity, h, b, piece):
         cube_map[(k, j)] = by_vset.get(
             frozenset(piece.vertex_index[v] for v in face))
     return cube_map
+
+
+def attaching_images(g):
+    """The cube map an attaching map's vertex map fixes: each edge-space
+    cube (k, j) to the vertex-space cube on the images of its corners.
+    The lookup raises KeyError unless that vertex set is a cube, and the
+    image must have dimension k."""
+    by_vset, out = vertex_set_map(g.vertex_space.complex), {}
+    for k, level in enumerate(g.edge_space.complex.cubes):
+        for j, cube in enumerate(level):
+            out[(k, j)] = by_vset[frozenset(g.vertex_map[c] for c in cube)]
+            assert out[(k, j)][0] == k
+    return out
+
+
+def assert_locally_injective(g):
+    """Every edge-space cube maps onto a cube, and the cubes of each
+    vertex star map to distinct cubes."""
+    images = attaching_images(g)
+    Y = g.edge_space.complex
+    for w in range(Y.vertex_count):
+        star = Y.star(w)
+        for k in range(1, Y.dim + 1):
+            hits = [images[(k, i)] for i, _ in star[k]]
+            assert len(set(hits)) == len(hits)
 
 
 # The half subdivision as it was built when every complex kept a map from
@@ -393,7 +412,12 @@ def certifies_rank_one(cplx, coloring, report):
     path = report.witness_path
     if report.certificate != "strict-pi":
         return rank_one_certificate(cplx, coloring, path)
-    link_adj = reference_link_adj(cplx)
+    return reference_strict_pi(reference_link_adj(cplx), cplx, path)
+
+
+def reference_strict_pi(link_adj, cplx, path):
+    """The strict-pi certificate, its junctions classified on the
+    set-based link table `link_adj` of cplx."""
     steps = path.steps
     return (path.closed and is_local_geodesic(cplx, path) == (True, None)
             and any(reference_distance_class(link_adj, s.tail, r.tail, s.head)

@@ -22,7 +22,8 @@ from foldcc.geodesic import (DistanceClass, OrientedEdge, distance_class,
                              rank_one_certificate, sim_v_classes, transfer)
 from foldcc.rank import detect_rank3, splitting_bipartitions
 
-from helpers import certifies_rank_one, link_graph_distances
+from helpers import (assert_locally_injective, certifies_rank_one,
+                     link_graph_distances)
 
 
 def _stamp(n, detail):
@@ -158,19 +159,10 @@ def test_criterion_5_decomposition_identities(corpus2, corpus3, gos_table):
                 assert rep.is_fcc and rep.dimension == n - 1, entry.name
             for g0, g1 in gos.attaching:
                 for g in (g0, g1):
-                    _assert_locally_injective(g)
+                    assert_locally_injective(g)
             checked += 1
     _stamp(5, "count identity + space validation on %d (complex, color) pairs"
            % checked)
-
-
-def _assert_locally_injective(g):
-    Y = g.edge_space.complex
-    for w in range(Y.vertex_count):
-        star = Y.star(w)
-        for k in range(1, Y.dim + 1):
-            images = [g.cube_map[(k, i)] for i, _ in star[k]]
-            assert len(set(images)) == len(images)
 
 
 def test_criterion_6_davis_links():

@@ -245,6 +245,18 @@ class TestRank:
         code, _, _ = run(capsys, "rank", str(f), "--dim3")
         assert code == 65
 
+    @pytest.mark.parametrize("argv", [("decompose", "--color", "1"),
+                                      ("hyperplanes", "--color", "1"),
+                                      ("geodesic", "--from", "0"),
+                                      ("rank",)])
+    def test_unfoldable_complex_is_not_an_fcc(self, tmp_path, capsys, argv):
+        # torus(5,4) is a valid cubical complex without a folding
+        f = tmp_path / "t.cplx"
+        run(capsys, "generate", "torus:5,4", "--out", str(f))
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert (code, out, err) == (
+            65, "", "error: NotFCC: complex is not foldable\n")
+
 
 class TestOtherCommands:
     def test_fold_writes_serialization(self, tmp_path, capsys):

@@ -1,11 +1,12 @@
 import itertools
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldcc import decomposition
+from foldcc import core, decomposition
 from foldcc.core import (CubicalComplex, canonical_frame, is_flag, link,
                          validate_fcc)
 from foldcc.decomposition import (count_identity_holds, direction_parity,
@@ -16,9 +17,9 @@ from foldcc.folding import EdgeColoring, coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                torus_grid)
 
-from helpers import (assert_incidence, assert_local_index,
+from helpers import (assert_incidence, assert_locally_injective,
                      assert_same_complex, assert_vertex_set_lookups,
-                     midcube_corners, reference_color_axis,
+                     attaching_images, midcube_corners, reference_color_axis,
                      reference_cube_map, reference_hyperplanes,
                      reference_restrict, reference_subcomplex_XT,
                      relabelled)
@@ -91,13 +92,23 @@ class TestHyperplanes:
 
     def test_carriers_point_to_parents(self, torus44):
         comps = hyperplanes(torus44.complex, torus44.coloring, 2)
-        for h in comps:
-            for (k, i), (pk, pi) in h.carrier.items():
+        refs, carriers = reference_hyperplanes(torus44.complex,
+                                               torus44.coloring, 2)
+        assert len(comps) == len(refs)
+        for h, ref, carrier in zip(comps, refs, carriers):
+            assert h.edge_of_vertex == ref.edge_of_vertex
+            assert_same_complex(h.complex, ref.complex)
+            for (k, i), (pk, pi) in carrier.items():
                 assert pk == k + 1
                 cube = torus44.complex.cubes[pk][pi]
                 if k == 0:
                     e = h.edge_of_vertex[h.complex.cubes[0][i][0]]
                     assert torus44.complex.cubes[1][e] == cube
+                else:
+                    # the carrier holds the edges at the midcube's corners
+                    for c in h.complex.cubes[k][i]:
+                        assert set(torus44.complex.cubes[1][
+                            h.edge_of_vertex[c]]) <= set(cube)
 
 
 class TestCountIdentity:
@@ -159,6 +170,20 @@ class TestGraphOfSpaces:
                 report = validate_fcc(h.complex)
                 assert report.is_fcc and report.dimension == 1
 
+    def test_xh_holds_no_per_cube_map(self, x_hemispherex):
+        # an attaching map is its vertex map: the per-cube maps and carrier
+        # tables it used to keep took X(H)'s graph of spaces to about 27 MiB
+        cplx, coloring = x_hemispherex.complex, x_hemispherex.coloring
+        warm = graph_of_spaces(cplx, coloring, 3)
+        tracemalloc.start()
+        try:
+            gos = graph_of_spaces(cplx, coloring, 1)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert warm.color == 3 and len(gos.attaching) == len(gos.edge_spaces)
+        assert held < 15 << 20
+
     def test_dimension_one_rejected(self):
         cplx, coloring = colored(cycle_graph(4))
         with pytest.raises(NotFCC):
@@ -170,27 +195,18 @@ class TestGraphOfSpaces:
                 gos = graph_of_spaces(entry.complex, entry.coloring, color)
                 for g0, g1 in gos.attaching:
                     for g in (g0, g1):
-                        _assert_locally_injective(g)
+                        assert_locally_injective(g)
 
     def test_cube_maps_land_on_cubes(self, torus44):
         gos = graph_of_spaces(torus44.complex, torus44.coloring, 1)
         for g0, g1 in gos.attaching:
             for g in (g0, g1):
                 B = g.vertex_space.complex
-                for (k, i), ref in g.cube_map.items():
-                    assert ref is not None
-                    bk, bi = ref
+                images = attaching_images(g)
+                assert len(images) == sum(g.edge_space.complex.cell_counts())
+                for (k, i), (bk, bi) in images.items():
                     assert bk == k
                     assert 0 <= bi < B.n_cubes(bk)
-
-
-def _assert_locally_injective(g):
-    Y = g.edge_space.complex
-    for w in range(Y.vertex_count):
-        star = Y.star(w)
-        for k in range(1, Y.dim + 1):
-            images = [g.cube_map[(k, i)] for i, _ in star[k]]
-            assert len(set(images)) == len(images)
 
 
 class TestIsCovering:
@@ -277,7 +293,7 @@ def assert_matches_the_references(cplx, coloring):
             sub = subcomplex_XT(cplx, coloring, T)
             assert sub.refs == reference_subcomplex_XT(cplx, coloring, T).refs
             got = sub.components()
-            with mock.patch.object(decomposition, "restrict_complex",
+            with mock.patch.object(core, "restrict_complex",
                                    reference_restrict):
                 want = sub.components()
             assert len(got) == len(want)
@@ -285,33 +301,31 @@ def assert_matches_the_references(cplx, coloring):
                 assert_same_complex(piece.complex, ref.complex)
                 assert piece.to_parent == ref.to_parent
                 assert piece.vertex_index == ref.vertex_index
-                assert_local_index(cplx, piece)
                 assert_incidence(piece.complex)
                 assert_vertex_set_lookups(piece.complex)
     for color in range(1, n + 1):
         got = hyperplanes(cplx, coloring, color)
-        want = reference_hyperplanes(cplx, coloring, color)
+        want, carriers = reference_hyperplanes(cplx, coloring, color)
         assert len(got) == len(want)
         for h, ref in zip(got, want):
             assert_same_complex(h.complex, ref.complex)
             assert h.edge_of_vertex == ref.edge_of_vertex
-            # insertion order too: levels >= 1 first, then level 0
-            assert list(h.carrier.items()) == list(ref.carrier.items())
             assert_incidence(h.complex)
             assert_vertex_set_lookups(h.complex)
         if cplx.dim < 2:
             continue
         gos = graph_of_spaces(cplx, coloring, color)
         parity = direction_parity(cplx, coloring, color)
-        for g0, g1 in gos.attaching:
+        for (g0, g1), carrier in zip(gos.attaching, carriers):
             for g in (g0, g1):
                 h, piece = g.edge_space, g.vertex_space
                 ends = [cplx.cubes[1][e] for e in h.edge_of_vertex]
                 assert g.vertex_map == tuple(
                     piece.vertex_index[u if parity[u] == g.side else w]
                     for u, w in ends)
-                assert list(g.cube_map.items()) == list(reference_cube_map(
-                    cplx, coloring, color, parity, h, g.side, piece).items())
+                # each cube's vertex-map image is the side face of its carrier
+                assert attaching_images(g) == reference_cube_map(
+                    cplx, coloring, color, parity, h, carrier, g.side, piece)
 
 
 def assert_frames_read_off_the_carriers(cplx, coloring):

@@ -14,13 +14,14 @@ from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
                              build_strict_pi_geodesic, distance_class,
                              graph_connector, is_local_geodesic,
                              perpendicular_set, rank_one_certificate,
-                             serialize_path, sim_v_classes, transfer)
+                             serialize_path, sim_v_classes,
+                             strict_pi_certificate, transfer)
 
 from helpers import (link_graph_distances, reference_color_component_edges,
                      reference_cross_pairs, reference_distance_class,
                      reference_link_adj, reference_loop_path,
                      reference_probe_loop, reference_sim_v_classes,
-                     relabelled)
+                     reference_strict_pi, relabelled)
 
 SQUARE = load_complex("cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n")
 
@@ -407,6 +408,46 @@ class TestCertificate:
         path = EdgePath(0, (OrientedEdge(0, 4),), False)
         with pytest.raises(NotClosed):
             rank_one_certificate(torus44.complex, torus44.coloring, path)
+
+    def test_strict_pi_rejects_torus_loops(self, torus44):
+        # a straight loop is a closed geodesic, but every junction is at pi
+        cplx = torus44.complex
+        steps = tuple(OrientedEdge(4 * i, 4 * ((i + 1) % 4)) for i in range(4))
+        assert is_local_geodesic(cplx, EdgePath(0, steps, True)) == (True, None)
+        assert not strict_pi_certificate(cplx, EdgePath(0, steps, True))
+        assert not strict_pi_certificate(cplx, EdgePath(0, steps, False))
+
+    def test_strict_pi_agrees_with_the_sets(self, corpus_all):
+        # closed paths at vertex 0 and at the first strictly-beyond-pi
+        # cross pair: one-color loops, probe loops and pairs of them
+        verdicts = set()
+        for entry in corpus_all:
+            cplx, coloring = entry.complex, entry.coloring
+            link_adj = reference_link_adj(cplx)
+            strict = rank._cross_pairs(cplx, coloring)[1]
+            for v in {0, strict[0] if strict else 0}:
+                paths = []
+                for color in range(1, coloring.n + 1):
+                    try:
+                        walk = _loop_at(cplx, coloring.colors, color, v)
+                    except FoldccError:
+                        continue
+                    paths.append(_path(cplx, walk, v, closed=True))
+                probes = []
+                for a in cplx.neighbors(v):
+                    try:
+                        probes.append(_probe_loop(cplx, coloring,
+                                                  OrientedEdge(v, a)).steps)
+                    except FoldccError:
+                        continue
+                paths += [EdgePath(v, p + q, True) for p in probes
+                          for q in probes]
+                for path in paths:
+                    got = strict_pi_certificate(cplx, path)
+                    assert got == reference_strict_pi(link_adj, cplx, path), (
+                        entry.name, path)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestSimV:

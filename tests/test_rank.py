@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from foldcc import rank
 from foldcc.core import CubicalComplex
-from foldcc.errors import NotDim3, NotFCC
+from foldcc.errors import ConstructionFailed, NotDim3, NotFCC
 from foldcc.folding import NotFoldable, coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                torus_grid)
-from foldcc.geodesic import all_color_turn_cycle, rank_one_certificate
+from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
+                             all_color_turn_cycle, distance_class,
+                             rank_one_certificate, strict_pi_certificate)
 from foldcc.rank import (_step_d_search, detect_rank3, detect_rank_general,
                          splitting_bipartitions, verify_bipartition)
 
@@ -118,6 +120,11 @@ class TestStepB:
         assert not rank_one_certificate(cplx, octahedra_wedge.coloring,
                                         report.witness_path)
         assert certifies_rank_one(cplx, octahedra_wedge.coloring, report)
+        assert strict_pi_certificate(cplx, report.witness_path)
+        steps = report.witness_path.steps
+        classes = [distance_class(cplx, s.tail, r.tail, s.head)
+                   for r, s in zip(steps[-1:] + steps[:-1], steps)]
+        assert classes.count(DistanceClass.MORE_THAN_PI) == 3
 
 
 class TestDetectGeneral:
@@ -135,6 +142,17 @@ class TestDetectGeneral:
                                      assume_fcc=True)
         assert report.verdict == "rank-one"
         assert report.certificate == "strict-pi"
+
+    def test_a_failed_strict_pi_witness_is_refused(self, x_double_arc,
+                                                   monkeypatch):
+        # a strict-pi witness that backtracks is an internal error, not a
+        # verdict
+        def backtrack(cplx, coloring, v, a, b):
+            return EdgePath(v, (OrientedEdge(v, a), OrientedEdge(a, v)), True)
+        monkeypatch.setattr(rank.geo, "build_strict_pi_geodesic", backtrack)
+        with pytest.raises(ConstructionFailed, match="strict-pi"):
+            detect_rank_general(x_double_arc.complex,
+                                folding=x_double_arc.folding, assume_fcc=True)
 
     def test_torus_any_dimension_splits(self, corpus2):
         entry = corpus2[0]
