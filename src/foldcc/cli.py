@@ -164,9 +164,11 @@ def _parse_generate_spec(spec, args):
         cplx.provenance = spec
         return core.serialize_complex(cplx)
     if kind == "hemispherex":
-        fields = dict(item.split("=", 1) for item in rest.split(",", 1))
-        n = int(fields["n"])
-        mult = tuple(int(x) for x in fields["m"].split(","))
+        head, _, tail = rest.partition(",")
+        if not (head.startswith("n=") and tail.startswith("m=")):
+            raise ParseError("expected hemispherex:n=<int>,m=<int>,...")
+        n = int(head[2:])
+        mult = tuple(int(x) for x in tail[2:].split(","))
         hx = generators.hemispherex(n, mult, allow_dim1=args.allow_dim1)
         K = hx.complex
         K.provenance = spec

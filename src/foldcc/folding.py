@@ -16,7 +16,6 @@ that basis.
 """
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,17 +59,24 @@ class NotFoldable:
     a direction whose union is crossed an odd number of times by `cycle`
     (a closed vertex cycle, edges between consecutive entries and back).
     The cycle is a shortest one, starting at the least vertex that lies on
-    a shortest one; the search for it runs on first access.  It runs BFSs
-    on the parity double cover (vertex, crossing parity): with D_s the
-    distances from (s, 0), the shortest odd closed walk through v has
-    length D_s(v, 0) + D_s(v, 1) for any s on that walk.  One BFS per
-    component labels each vertex by the parity it is first reached with;
-    every odd closed walk crosses an edge those labels do not fit, so one
-    endpoint of each such edge serves as a source.  Each source BFS stops
-    at the shortest length found so far, and one more BFS, from the base
-    vertex, rebuilds the path.  Each BFS costs O(V + E).  On
-    torus(k, 4, 4) the sources lie on one cross-section: 16 BFSs, where a
-    search from every vertex would run 16k.
+    a shortest one (the base), and it is the BFS parent chain from
+    (base, 0) to (base, 1) on the parity double cover (vertex, crossing
+    parity).  The search runs on first access.  With D_s the distances
+    from (s, 0), the shortest odd closed walk through s has length
+    min over v of D_s(v, 0) + D_s(v, 1), reached at a midpoint of the walk
+    whose two depths are at most half its length, so a BFS "half ball"
+    from s may stop at half the shortest length found so far.  One BFS of
+    the graph per component labels each vertex by the parity it is first
+    reached with; every odd closed walk crosses an edge those labels do
+    not fit, so one endpoint of each such edge, a source, lies on it.  A
+    half ball from each source gives the shortest length.  Half balls
+    from vertices 0, 1, ... then look for the base; after as many misses
+    as there are sources on shortest walks, full BFSs from those sources
+    find it instead.  One more full BFS, from the base, gives the path.
+    Each BFS costs O(V + E), so at most about twice as many BFSs run as
+    there are sources.  On torus(k, 4, 4) the sources lie on one
+    cross-section: 16 half balls, one candidate and one full BFS, where a
+    search from every vertex would run 16k BFSs.
     reason "direction": the class conflict graph is not n-colorable;
     `detail` carries a conflicting cube or clique when one was found.
     """
@@ -145,72 +151,111 @@ def _odd_crossing_cycle(cplx, edge_set):
     # Shortest closed vertex cycle crossing `edge_set` an odd number of
     # times: the double-cover BFS path of the least base vertex whose
     # shortest odd closed walk is shortest overall (see NotFoldable).
-    adj = [[] for _ in range(cplx.vertex_count)]
+    # Cover state x = 2v + parity; adj[v] holds 2w + flip per neighbour w
+    # in edge order, so the successor of x along it is code ^ (x & 1).
+    n = cplx.vertex_count
+    adj = [[] for _ in range(n)]
     for e, (u, w) in enumerate(cplx.cubes[1]):
         flip = 1 if e in edge_set else 0
-        adj[u].append((w, flip))
-        adj[w].append((u, flip))
-    # odd[v]: length of the shortest odd closed walk through v, as the
-    # least D_s(v, 0) + D_s(v, 1) over the BFS sources s on that walk
-    inf = float("inf")
-    odd = [inf] * cplx.vertex_count
-    best = inf
-
-    def scan(source, bound):
-        nonlocal best
-        found = _cover_bfs(adj, source, bound)
-        for state, (d, _) in found.items():
-            if state & 1 and state - 1 in found:
-                v, d = state >> 1, d + found[state - 1][0]
-                odd[v] = min(odd[v], d)
-                best = min(best, d)
-        return found
-
-    seen = set()
-    for root in range(cplx.vertex_count):
-        if root in seen:
+        adj[u].append(2 * w + flip)
+        adj[w].append(2 * u + flip)
+    # label each vertex by the parity a BFS of its component first reaches
+    # it with; an odd closed walk crosses an edge the labels do not fit,
+    # so it passes through one of the sources
+    label = [-1] * n
+    sources = set()
+    for root in range(n):
+        if label[root] >= 0:
             continue
-        # label the component by the parity each vertex is first reached
-        # with; an odd closed walk crosses an edge the labels do not fit,
-        # so it passes through one of the sources
-        label = {}
-        for state in scan(root, inf):
-            label.setdefault(state >> 1, state & 1)
-        seen.update(label)
-        sources = sorted({min(u, w) for u in label for w, flip in adj[u]
-                          if label[u] ^ label[w] ^ flip})
-        for source in sources:
-            scan(source, best)
-    if best == inf:
+        label[root] = 0
+        queue = [root]
+        for u in queue:
+            for code in adj[u]:
+                w, lw = code >> 1, label[u] ^ (code & 1)
+                if label[w] < 0:
+                    label[w] = lw
+                    queue.append(w)
+                elif label[w] != lw:
+                    sources.add(min(u, w))
+    sources = sorted(sources)
+    dist = [-1] * (2 * n)
+    parent = [-1] * (2 * n)
+    unbounded = 2 * n   # longer than any shortest walk on the cover
+
+    def ball(source, bound, half):
+        # BFS from (source, 0).  It expands no state at depth `limit` or
+        # more, a half ball none at depth `limit` / 2 or more, where limit
+        # is `bound` or the least D(v, 0) + D(v, 1) seen, if smaller.  A
+        # shortest odd closed walk through source of length L <= bound has
+        # a midpoint v with both depths at most ceil(L / 2), so a half ball
+        # returns L as its least sum.  Full balls start on a shortest walk
+        # of length `bound`, so no sum cuts them short.  Returns the least
+        # sum and the states reached; dist and parent hold theirs until
+        # the caller clears them.
+        start = 2 * source
+        dist[start], parent[start] = 0, -1
+        queue = [start]
+        least = unbounded
+        limit = bound
+        scale = 2 if half else 1
+        for x in queue:
+            d = dist[x]
+            if scale * d >= limit:
+                break
+            d += 1
+            p = x & 1
+            for code in adj[x >> 1]:
+                y = code ^ p
+                if dist[y] < 0:
+                    dist[y] = d
+                    parent[y] = x
+                    queue.append(y)
+                    other = dist[y ^ 1]
+                    if other >= 0 and d + other < least:
+                        least = d + other
+                        limit = min(limit, least)
+        return least, queue
+
+    def clear(queue):
+        for x in queue:
+            dist[x] = -1
+
+    # best: the shortest odd closed walk through any source, that is,
+    # anywhere; hits: the sources that lie on one
+    best, reach = unbounded, []
+    for s in sources:
+        least, queue = ball(s, best, True)
+        clear(queue)
+        reach.append(least)
+        best = min(best, least)
+    if best == unbounded:
         return None
-    base = odd.index(best)
-    found = _cover_bfs(adj, base, best)
-    path = []
-    state = found[2 * base + 1][1]
-    while state is not None:
-        path.append(state >> 1)
-        state = found[state][1]
-    return tuple(reversed(path))
-
-
-def _cover_bfs(adj, base, bound):
-    # BFS on the parity double cover from (base, 0), state 2*v + parity;
-    # states at depth `bound` or more are not expanded.  Returns
-    # {state: (depth, BFS parent)} in discovery order, parent None at base.
-    found = {2 * base: (0, None)}
-    queue = deque([2 * base])
-    while queue:
-        state = queue.popleft()
-        d = found[state][0]
-        if d >= bound:
+    hits = [s for s, least in zip(sources, reach) if least == best]
+    # base: the least vertex on a shortest odd closed walk.  Try vertices
+    # in order; after as many misses as hits, scan from every hit instead,
+    # since each such walk passes through one
+    base = unbounded
+    for v in range(len(hits)):
+        least, queue = ball(v, best, True)
+        clear(queue)
+        if least == best:
+            base = v
             break
-        p = state & 1
-        for w, flip in adj[state >> 1]:
-            nxt = 2 * w + (p ^ flip)
-            if nxt not in found:
-                found[nxt] = (d + 1, state)
-                queue.append(nxt)
-    return found
+    else:
+        for s in hits:
+            _, queue = ball(s, best, False)
+            for x in queue:
+                if x & 1 and dist[x - 1] >= 0 \
+                        and dist[x] + dist[x - 1] == best:
+                    base = min(base, x >> 1)
+            clear(queue)
+    ball(base, best, False)
+    path = []
+    state = parent[2 * base + 1]
+    while state >= 0:
+        path.append(state >> 1)
+        state = parent[state]
+    return tuple(reversed(path))
 
 
 def _mask_clique(mask, masks, size):

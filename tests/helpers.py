@@ -140,6 +140,41 @@ def relabelled(cplx, rng):
                             for k, i in cplx.maximal_cubes()])
 
 
+def assert_parity_witness(cplx, classes, cycle, length):
+    """A parity witness checked without the cycle search: `cycle` is a
+    closed walk of `length` steps (the last vertex back to the first)
+    along edges of `cplx` that crosses the parallel classes numbered in
+    `classes` an odd number of times.  The classes are recomputed here from
+    the opposite sides of each square, numbered by their least edge."""
+    edges = cplx.cubes[1]
+    edge_of = {frozenset(e): i for i, e in enumerate(edges)}
+    opposite = [[] for _ in edges]
+    for a, b, c, d in cplx.cubes[2] if cplx.dim >= 2 else ():
+        for x, y in (((a, b), (c, d)), ((a, c), (b, d))):
+            e, f = edge_of[frozenset(x)], edge_of[frozenset(y)]
+            opposite[e].append(f)
+            opposite[f].append(e)
+    class_of = [None] * len(edges)
+    count = 0
+    for e in range(len(edges)):
+        if class_of[e] is None:
+            class_of[e] = count
+            stack = [e]
+            while stack:
+                for f in opposite[stack.pop()]:
+                    if class_of[f] is None:
+                        class_of[f] = count
+                        stack.append(f)
+            count += 1
+    assert len(cycle) == length
+    crossings = 0
+    for u, w in zip(cycle, cycle[1:] + cycle[:1]):
+        e = edge_of.get(frozenset((u, w)))
+        assert e is not None, "no edge %d-%d" % (u, w)
+        crossings += class_of[e] in classes
+    assert crossings % 2 == 1
+
+
 def assert_same_complex(got, want):
     """Equal cubes and face tables."""
     assert got.vertex_count == want.vertex_count

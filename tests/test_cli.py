@@ -11,6 +11,8 @@ from foldcc.core import CubicalComplex, load_complex, serialize_complex
 from foldcc.errors import ConstructionFailed
 from foldcc.generators import torus_grid
 
+from helpers import assert_parity_witness, relabelled
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -70,6 +72,42 @@ class TestGenerate:
     def test_bad_spec(self, capsys):
         code, _, err = run(capsys, "generate", "noodle:7")
         assert code == 64
+
+    @pytest.mark.parametrize("spec", [
+        "hemispherex:n=2", "hemispherex:n=2,mm=1,1,1",
+        "hemispherex:nn=2,m=1,1,1", "hemispherex:m=1,1,1,n=2",
+        "hemispherex:"])
+    def test_hemispherex_spec_names_its_form(self, capsys, spec):
+        # a missing or misspelled field used to print a bare KeyError
+        assert run(capsys, "generate", spec) == (
+            64, "", "error: expected hemispherex:n=<int>,m=<int>,...\n")
+
+    @pytest.mark.parametrize("n, mult", [(20, (1,) * 21), (9, (1,) * 10),
+                                         (2, (15, 1, 1))])
+    def test_huge_hemispherex_exits_65_before_building(self, capsys,
+                                                        monkeypatch, n, mult):
+        # n = 20 would list 2^42 faces; every size step costs 4-5x
+        def no_sphere(n):
+            raise AssertionError("built a sphere")
+
+        monkeypatch.setattr(cli.generators, "standard_sphere", no_sphere)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "generate", "hemispherex:n=%d,m=%s"
+                                 % (n, ",".join(map(str, mult))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 65
+        assert_refusal(out, err)
+        assert err.startswith("error: TooLarge: n = %d with %d hemispheres"
+                              % (n, sum(mult)))
+        assert peak < 1 << 20
+
+    def test_largest_hemispherex_spec_is_generated(self, capsys):
+        code, out, _ = run(capsys, "generate", "hemispherex:n=2,m=14,1,1")
+        assert code == 0
+        assert "vertices 22\n" in out
 
     def test_dim1_hemispherex_needs_flag(self, tmp_path, capsys):
         code, _, _ = run(capsys, "generate", "hemispherex:n=1,m=1,1")
@@ -289,6 +327,22 @@ class TestOtherCommands:
         g.write_text(serialize_complex(
             CubicalComplex.from_maximal_cubes(cplx.vertex_count, cubes)))
         assert run(capsys, "fold", str(g)) == (1, FOLD_T45_RELABELLED, "")
+
+    @pytest.mark.parametrize("dims", [(45, 4, 4), (9, 9, 9)])
+    def test_fold_witness_passes_the_independent_check(self, tmp_path,
+                                                       capsys, dims):
+        cplx = relabelled(torus_grid(dims), random.Random(len(dims) + 1))
+        f = tmp_path / "r.cplx"
+        f.write_text(serialize_complex(cplx))
+        code, out, err = run(capsys, "fold", str(f))
+        assert (code, err) == (1, "")
+        report = dict(line.split(" = ") for line in out.splitlines()[1:])
+        assert report["reason"] == "parity"
+        cycle = tuple(map(int, report["cycle"].split()))
+        shortest = min(k for k in dims if k % 2)
+        assert report["cycle.length"] == str(shortest)
+        assert_parity_witness(cplx, set(map(int, report["classes"].split())),
+                              cycle, shortest)
 
     def test_decompose_writes_spaces(self, tmp_path, capsys):
         f = tmp_path / "t.cplx"

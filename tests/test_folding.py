@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
@@ -18,7 +19,8 @@ from foldcc.folding import (Folding, NotFoldable, _cycle_basis,
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                standard_sphere, torus_grid)
 
-from helpers import reference_verify_folding
+from helpers import (assert_parity_witness, reference_verify_folding,
+                     relabelled)
 
 
 def relabel(cplx, perm):
@@ -769,6 +771,43 @@ WITNESS_BASES = [
 ]
 
 
+def graph_complex(edges, isolated=0):
+    # a 1-dimensional complex on the given edges after `isolated` vertices
+    # that lie on no edge
+    edges = [(u + isolated, w + isolated) for u, w in edges]
+    return CubicalComplex.from_maximal_cubes(
+        max(map(max, edges)) + 1, [(v,) for v in range(isolated)] + edges)
+
+
+def _cycle_edges(k, first):
+    return [(first + i, first + (i + 1) % k) for i in range(k)]
+
+
+# bases whose low vertex ids lie off every shortest odd walk, when every
+# edge is crossed
+FALLBACK_BASES = {
+    # an odd 5-cycle at the end of a path of 20 edges
+    "lollipop": lambda: graph_complex(
+        [(v, v + 1) for v in range(20)] + _cycle_edges(5, 20)),
+    # an even 30-cycle and an odd 5-cycle sharing vertex 29
+    "even cycle first": lambda: graph_complex(
+        _cycle_edges(30, 0) + [(29, 30), (30, 31), (31, 32), (32, 33),
+                               (33, 29)]),
+    # odd girths 9, 3 and 3 in three components
+    "odd girths 9, 3, 3": lambda: graph_complex(
+        _cycle_edges(9, 0) + _cycle_edges(3, 9) + _cycle_edges(3, 12)),
+    # two triangles after one isolated vertex: the second candidate hits
+    "isolated vertex, two triangles": lambda: graph_complex(
+        _cycle_edges(3, 0) + _cycle_edges(3, 3), isolated=1),
+    # a 7-cycle after five isolated vertices
+    "isolated vertices": lambda: graph_complex(_cycle_edges(7, 0),
+                                               isolated=5),
+    # a torus(4, 4) square complex, then a 5-cycle
+    "torus(4, 4), then a 5-cycle": lambda: disjoint_union(
+        [torus_grid((4, 4)), cycle_graph(5)]),
+}
+
+
 @st.composite
 def crossing_sets(draw):
     # a relabelled small complex and an edge set: either random edges or
@@ -806,6 +845,40 @@ class TestParityWitness:
                 perm = list(range(base.vertex_count))
                 rng.shuffle(perm)
                 base = relabel(base, perm)
+
+    @pytest.mark.parametrize("name", sorted(FALLBACK_BASES))
+    def test_low_vertices_off_every_shortest_walk(self, name):
+        # vertex 0 lies on no shortest odd walk, so the scan of candidate
+        # base vertices misses before it finds the base or falls back to
+        # the scans from the sources
+        cplx = FALLBACK_BASES[name]()
+        edges = set(range(cplx.n_cubes(1)))
+        cycle = _odd_crossing_cycle(cplx, edges)
+        assert cycle[0] > 0
+        assert cycle == reference_odd_crossing_cycle(cplx, edges)
+
+    def test_long_candidate_scan_is_not_quadratic(self):
+        # 20,000 path vertices numbered before an odd 2001-cycle: a half
+        # ball from each of them would cost about 20,000 x 1,000 states
+        k, tail = 2001, 20000
+        cplx = graph_complex([(v, v + 1) for v in range(tail)]
+                             + _cycle_edges(k, tail))
+        edges = set(range(cplx.n_cubes(1)))
+        start = time.process_time()
+        cycle = _odd_crossing_cycle(cplx, edges)
+        # 0.3 s of CPU time here; an unbounded scan took 20 s
+        assert time.process_time() - start < 10
+        assert cycle[0] == tail
+        assert sorted(cycle) == list(range(tail, tail + k))
+        assert_parity_witness(cplx, edges, cycle, k)
+
+    @pytest.mark.parametrize("dims", [(45, 4, 4), (9, 9, 9)])
+    def test_relabelled_witness_passes_the_independent_check(self, dims):
+        cplx = relabelled(torus_grid(dims), random.Random(sum(dims)))
+        result = find_folding(cplx)
+        assert result.reason == "parity"
+        shortest = min(k for k in dims if k % 2)
+        assert_parity_witness(cplx, result.classes, result.cycle, shortest)
 
     def test_long_odd_torus(self):
         k = 201

@@ -68,6 +68,13 @@ class TestHemispherex:
         with pytest.raises(BadSpec):
             hemispherex(1, (1, 1))
 
+    def test_size_cap(self):
+        # at the cap on n and on the hemispheres in all, and one past each
+        assert hemispherex(8, (8,) + (1,) * 8).complex.dim == 8
+        for n, mult in [(9, (1,) * 10), (2, (15, 1, 1)), (8, (9,) + (1,) * 8)]:
+            with pytest.raises(TooLarge):
+                hemispherex(n, mult)
+
     def test_bad_multiplicities(self):
         with pytest.raises(BadSpec):
             hemispherex(2, (1, 1))
