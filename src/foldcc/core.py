@@ -188,6 +188,25 @@ class DisjointSet:
             out.setdefault(self.find(x), []).append(x)
         return [out[r] for r in sorted(out)]
 
+    def labels(self, pairs):
+        """Union every pair, then number the classes 0, 1, ... by least
+        member: returns (each element's class number, the class count).
+        Unions keep parent[x] <= x, so labels are read off parents."""
+        parent = self.parent
+        for a, b in pairs:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+        label, count = [], 0
+        for x, p in enumerate(parent):
+            label.append(label[p] if p < x else count)
+            count += p == x
+        return label, count
+
 
 def spanning_forest_labels(vertex_count, edges, weights):
     """XOR labels along a spanning forest of the multigraph `edges`.
@@ -439,8 +458,7 @@ class CubicalComplex:
     def vertex_components(self):
         """Partition of vertices by 1-skeleton connectivity, each sorted."""
         ds = DisjointSet(self.vertex_count)
-        for u, w in self.cubes[1] if len(self.cubes) > 1 else ():
-            ds.union(u, w)
+        ds.labels(self.cubes[1] if len(self.cubes) > 1 else ())
         return ds.groups()
 
     def is_connected(self):
@@ -474,40 +492,59 @@ def restrict_complex(parent, cube_refs):
     sorted: each level is the listed parent cubes in parent order, each
     face entry the parent's, renumbered; nothing is closed again.
     """
-    chosen = [set() for _ in parent.cubes]
-    for k, i in cube_refs:
-        chosen[k].add(i)
-    while len(chosen) > 1 and not chosen[-1]:
-        chosen.pop()
-    cubes, face_table, index = [], [[]], []
-    for k, refs in enumerate(map(sorted, chosen)):
-        if k:   # faces first: once they are all listed, so are the corners
-            row, below, w = parent._faces[k], index[k - 1], 2 * k
-            try:
-                face_table.append([below[f] for i in refs
-                                   for f in row[w * i:w * i + w]])
-            except KeyError as exc:
-                face = parent.cubes[k - 1][exc.args[0]]
-                raise NotAComplex("cube set misses the face %r" % (face,),
-                                  detail=(face,)) from None
-        index.append(dict(zip(refs, range(len(refs)))))
-        cubes.append(tuple(tuple(map(index[0].__getitem__,
-                                     parent.cubes[k][i])) for i in refs))
-    cplx = CubicalComplex(len(index[0]), tuple(cubes), face_table)
-    return ComponentPiece(cplx, tuple(index[0]), index[0])
+    return _pieces(parent, sorted(set(cube_refs)),
+                   [0] * parent.vertex_count, 1)[0]
 
 
 def _split(parent, cube_refs):
-    # the pieces of a face-closed set of parent cubes, one per component of
-    # its 1-skeleton, ordered by least parent vertex
-    ds = DisjointSet(parent.vertex_count)
+    # the pieces of a face-closed set of parent cubes in increasing (dim,
+    # index) order, one per component, by least vertex: one labelling
+    label, count = DisjointSet(parent.vertex_count).labels(
+        [parent.cubes[1][i] for k, i in cube_refs if k == 1])
+    return [piece for piece in _pieces(parent, cube_refs, label, count)
+            if piece.to_parent]
+
+
+def _pieces(parent, cube_refs, label, count):
+    # piece j holds the cubes of cube_refs, in increasing (dim, index)
+    # order, whose corner 0 has label j; a cube's position in its piece's
+    # level is at[k][i], None for a cube that is not listed
+    groups = [[[] for _ in parent.cubes] for _ in range(count)]
+    at = [[None] * len(level) for level in parent.cubes]
     for k, i in cube_refs:
-        if k == 1:
-            ds.union(*parent.cubes[1][i])
-    root, groups = [ds.find(v) for v in range(parent.vertex_count)], {}
-    for k, i in cube_refs:
-        groups.setdefault(root[parent.cubes[k][i][0]], []).append((k, i))
-    return [restrict_complex(parent, groups[r]) for r in sorted(groups)]
+        level = groups[label[parent.cubes[k][i][0]]][k]
+        at[k][i] = len(level)
+        level.append(i)
+    for levels in groups:
+        while len(levels) > 1 and not levels[-1]:
+            levels.pop()
+    # per dim: every parent cube's face entries, renumbered
+    faces = [None] + [list(zip(*[map(at[k - 1].__getitem__,
+                                     parent._faces[k])] * (2 * k)))
+                      for k in range(1, max(map(len, groups), default=1))]
+    out = []
+    for levels in groups:
+        verts = levels[0]
+        cubes, face_table = [tuple((j,) for j in range(len(verts)))], [[]]
+        for k in range(1, len(levels)):
+            refs = levels[k]
+            row = list(itertools.chain.from_iterable(
+                map(faces[k].__getitem__, refs)))
+            # faces first: once they are all listed, so are the corners
+            if None in row:
+                j, w = row.index(None), 2 * k
+                face = parent.cubes[k - 1][
+                    parent._faces[k][w * refs[j // w] + j % w]]
+                raise NotAComplex("cube set misses the face %r" % (face,),
+                                  detail=(face,))
+            face_table.append(row)
+            corners = map(at[0].__getitem__, itertools.chain.from_iterable(
+                map(parent.cubes[k].__getitem__, refs)))
+            cubes.append(tuple(zip(*[corners] * (1 << k))))   # 2^k at a time
+        cplx = CubicalComplex(len(verts), tuple(cubes), face_table)
+        out.append(ComponentPiece(cplx, tuple(verts),
+                                  dict(zip(verts, range(len(verts))))))
+    return out
 
 
 def components(cplx):

@@ -17,11 +17,10 @@ graph are kept apart.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import itemgetter
+from itertools import chain
 
-from .core import (ComponentPiece, CubicalComplex, DisjointSet,
-                   _corner_picker, _split, spanning_forest_labels)
+from .core import (ComponentPiece, CubicalComplex, DisjointSet, _split,
+                   spanning_forest_labels)
 from .errors import BadColorSet, NotFCC
 
 
@@ -65,84 +64,88 @@ class HyperplaneComponent:
     edge_of_vertex: tuple      # component vertex -> parent edge index
 
 
-@lru_cache(maxsize=None)
-def _carrier_ends(k, axis):
-    # carrier corners p and p | bit of its midcube's corners, in order
-    lo = [p for p in range(1 << k) if not p >> axis & 1]
-    return itemgetter(*lo), itemgetter(*[p | 1 << axis for p in lo])
-
-
-def _midcube_axes(corners):
-    # p0 = 0: corner 0 of a canonical carrier is its least vertex
-    return tuple(sorted(range(len(corners).bit_length() - 1),
-                        key=lambda t: corners[1 << t]))
-
-
-@lru_cache(maxsize=None)
-def _midcube_layout(k, axis, axes):
-    # frame (0, axes): corner order, carrier face-row entries of the faces
-    rest = [a for a in range(k) if a != axis]
-    return _corner_picker(0, axes), [2 * rest[a] + side for a in axes
-                                     for side in (0, 1)]
-
-
 def hyperplanes(cplx, coloring, color):
     """Components of the hyperplane complex H_color.
 
-    A midcube's corners are its carrier's color edges, put in canonical
-    order once by the frame (0, axes) read off the canonical carrier
-    (`_midcube_axes`).  Its face along canonical axis t, side s, is the
-    midcube of the carrier's face along axis rest[axes[t]], side s (rest:
-    the carrier's axes but the color axis), read off the parent's face
-    table.  A component numbers its edges in increasing order, which keeps
-    canonical orders canonical and sorted levels sorted.
+    Midcubes are read off the parent's face table in canonical order.  A
+    color square's midcube is its faces along the other axis, in order.
+    For a carrier of dimension >= 3, its faces' midcubes are its
+    midcube's faces: the side-0 ones start at the least edge (at corner
+    0) and, in decreasing order, lie along the canonical axes 0, 1, ...
+    Every corner with a zero bit lies in one of them, the far corner in
+    the side-1 face along axis 0, opposite corner 1.  A component numbers
+    its edges in increasing order, which keeps canonical orders canonical.
     """
     if not 1 <= color <= coloring.n:
         raise BadColorSet("color %d outside 1..%d" % (color, coloring.n))
-    colored, edge_at = coloring.edges_of_color(color), {}
-    for e in colored:
-        u, w = cplx.cubes[1][e]
-        edge_at[u, w] = edge_at[w, u] = e
-    edge_of = edge_at.__getitem__
-    # per midcube dimension: (canonical corners, carrier index, face offsets)
-    mids = [[((e,), e, ()) for e in colored]]
+    colored = coloring.edges_of_color(color)
+    at = dict(zip(colored, range(len(colored))))
+    row = cplx._faces[2] if cplx.dim >= 2 else ()
+    squares = [(i, at[row[4 * i + 2 - 2 * axis]],
+                at[row[4 * i + 3 - 2 * axis]])
+               for i, axis in enumerate(_color_axes(cplx, coloring, color, 2)
+                                        if row else ()) if axis >= 0]
+    comp, count = DisjointSet(len(colored)).labels(
+        [(p, q) for _, p, q in squares])
+    verts, local = [[] for _ in range(count)], []
+    for e, c in zip(colored, comp):
+        local.append(len(verts[c]))
+        verts[c].append(e)
+    # per midcube dimension: carriers by component in increasing order of
+    # their midcubes (in local ids), and the face entries of each
+    levels = []
     for k in range(2, cplx.dim + 1):
-        mids.append([])
-        for i, axis in enumerate(_color_axes(cplx, coloring, color, k)):
-            if axis >= 0:
-                lo, hi = _carrier_ends(k, axis)
-                cube = cplx.cubes[k][i]
-                corners = tuple(map(edge_of, zip(lo(cube), hi(cube))))
-                pick, faces = _midcube_layout(k, axis, _midcube_axes(corners))
-                mids[k - 1].append((pick(corners), i, faces))
-    ds = DisjointSet(cplx.n_cubes(1))
-    for corners, _, _ in mids[1] if len(mids) > 1 else ():
-        ds.union(*corners)
-    # least edge -> midcubes by dimension
-    comps = {e: [[] for _ in mids] for e in colored if ds.find(e) == e}
-    for d, level in enumerate(mids):
-        for mid in level:
-            comps[ds.find(mid[0][0])][d].append(mid)
+        n = cplx.n_cubes(k)
+        mids, comp_of, faces = [None] * n, [0] * n, [None] * n
+        if k == 2:
+            for i, p, q in squares:
+                mids[i] = faces[i] = (local[p], local[q])
+                comp_of[i] = comp[p]
+        else:
+            row, w, half = cplx._faces[k], 2 * k, 1 << (k - 2)
+            # (t, p) for each position q from half up to the far corner: t
+            # is the lowest zero bit of q, p its position in the face along t
+            upper = [(t, q >> t + 1 << t | q & (1 << t) - 1)
+                     for q in range(half, 2 * half - 1)
+                     for t in [(~q & q + 1).bit_length() - 1]]
+
+            def face_mid(f):
+                return below[row[f]]
+            for i, axis in enumerate(_color_axes(cplx, coloring, color, k)):
+                if axis < 0:
+                    continue
+                # face-row entries of the side-0 faces, by canonical axis
+                zero = sorted([w * i + 2 * r for r in range(k) if r != axis],
+                              key=face_mid, reverse=True)
+                first, side1 = face_mid(zero[-1]), face_mid(zero[0] + 1)
+                mids[i] = (*first, *[face_mid(zero[t])[p] for t, p in upper],
+                           side1[~side1.index(first[1])])
+                comp_of[i] = below_comp[row[zero[0]]]
+                faces[i] = [below_pos[row[f + s]] for f in zero
+                            for s in (0, 1)]
+        buckets, pos = [[] for _ in range(count)], [0] * n
+        for i, mid in enumerate(mids):
+            if mid is not None:
+                buckets[comp_of[i]].append(i)
+        for carriers in buckets:
+            carriers.sort(key=mids.__getitem__)
+            for j, i in enumerate(carriers):
+                pos[i] = j
+        levels.append((buckets, mids, faces))
+        below, below_comp, below_pos = mids, comp_of, pos
     out = []
-    for root in sorted(comps):
-        levels = comps[root]
-        while not levels[-1]:
-            levels.pop()
-        verts = [e for (e,), _, _ in levels[0]]
-        below = local = dict(zip(verts, range(len(verts))))
-        cubes, face_table = [], [[]]
-        for d, level in enumerate(levels):
-            level.sort()
-            cubes.append(tuple(tuple(map(local.__getitem__, corners))
-                               for corners, _, _ in level))
-            if d:
-                row, w = cplx._faces[d + 1], 2 * d + 2
-                face_table.append([below[row[w * i + o]]
-                                   for _, i, offsets in level
-                                   for o in offsets])
-                below = {i: j for j, (_, i, _) in enumerate(level)}
-        cx = CubicalComplex(len(verts), tuple(cubes), face_table)
-        out.append(HyperplaneComponent(color, cx, tuple(verts)))
+    points = tuple((j,) for j in range(max(map(len, verts), default=0)))
+    for c, edges in enumerate(verts):
+        cubes, face_table = [points[:len(edges)]], [[]]
+        for buckets, level_mids, level_faces in levels:
+            carriers = buckets[c]
+            if not carriers:
+                break
+            cubes.append(tuple(map(level_mids.__getitem__, carriers)))
+            face_table.append(list(chain.from_iterable(
+                map(level_faces.__getitem__, carriers))))
+        cx = CubicalComplex(len(edges), tuple(cubes), face_table)
+        out.append(HyperplaneComponent(color, cx, tuple(edges)))
     return out
 
 
@@ -186,23 +189,21 @@ class CoveringReport:
 
 
 def is_covering(g):
-    """Star check at the 1-skeleton level: the map is a covering iff every
-    edge-space vertex star maps isomorphically onto its image star.
+    """Star check at the 1-skeleton level: the map is a covering iff at
+    every edge-space vertex the sorted images of its neighbours are the
+    neighbours of its image.
 
-    On failure returns the witness (w, missed edge at g(w)); the two
-    directions it names are at link distance >= pi in the parent.
+    At the first vertex w that fails, the witness is (w, least missed edge
+    at g(w)), or (w, None) if none is missed; the two directions a missed
+    edge names are at link distance >= pi in the parent.
     """
-    Y = g.edge_space.complex
-    B = g.vertex_space.complex
-    for w in range(Y.vertex_count):
-        v = g.vertex_map[w]
-        images = [g.vertex_map[w2] for w2 in Y.neighbors(w)]
-        targets = list(B.neighbors(v))
-        missed = sorted(set(targets) - set(images))
-        if missed:
-            return CoveringReport(False, w, (v, missed[0]))
-        if len(set(images)) != len(images) or len(images) != len(targets):
-            return CoveringReport(False, w, None)
+    Y, B, vmap = g.edge_space.complex, g.vertex_space.complex, g.vertex_map
+    image = vmap.__getitem__
+    for w, v in enumerate(vmap):
+        if tuple(sorted(map(image, Y.neighbors(w)))) != B.neighbors(v):
+            missed = sorted(set(B.neighbors(v)).difference(
+                map(image, Y.neighbors(w))))
+            return CoveringReport(False, w, (v, missed[0]) if missed else None)
     return CoveringReport(True)
 
 
@@ -221,10 +222,8 @@ class GraphOfSpaces:
     attaching: list
 
     def base_graph_connected(self):
-        ds = DisjointSet(len(self.vertex_spaces))
-        for b0, b1 in self.base_edges:
-            ds.union(b0, b1)
-        return len(ds.groups()) == 1
+        return DisjointSet(len(self.vertex_spaces)).labels(
+            self.base_edges)[1] == 1
 
     def to_kv(self):
         pairs = [
@@ -254,7 +253,7 @@ def graph_of_spaces(cplx, coloring, color):
         raise BadColorSet("color %d outside 1..%d" % (color, n))
     T = frozenset(range(1, n + 1)) - {color}
     vertex_spaces = subcomplex_XT(cplx, coloring, T).components()
-    space_of_vertex = {}
+    space_of_vertex = [0] * cplx.vertex_count
     for bi, piece in enumerate(vertex_spaces):
         for v in piece.to_parent:
             space_of_vertex[v] = bi
@@ -267,12 +266,12 @@ def graph_of_spaces(cplx, coloring, color):
         for b in (0, 1):
             vmap = [u if parity[u] == b else w for u, w in
                     map(cplx.cubes[1].__getitem__, h.edge_of_vertex)]
-            bset = {space_of_vertex[v] for v in vmap}
+            bset = set(map(space_of_vertex.__getitem__, vmap))
             if len(bset) != 1:
                 raise NotFCC("edge space touches several components per side")
             bi = bset.pop()
             piece = vertex_spaces[bi]
-            local_vmap = tuple(piece.vertex_index[v] for v in vmap)
+            local_vmap = tuple(map(piece.vertex_index.__getitem__, vmap))
             sides.append((bi, AttachingMap(b, h, piece, local_vmap)))
         base_edges.append((sides[0][0], sides[1][0]))
         attaching.append((sides[0][1], sides[1][1]))

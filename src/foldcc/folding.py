@@ -37,18 +37,11 @@ class ParallelClasses:
 
 def parallel_classes(cplx):
     """Disjoint-set closure of "opposite in a square" over the edges."""
-    n_edges = cplx.n_cubes(1)
-    ds = DisjointSet(n_edges)
     # a square's faces come in opposite pairs, side 0 then side 1
     faces = cplx._faces[2] if cplx.dim >= 2 else ()
-    for j in range(0, len(faces), 2):
-        ds.union(faces[j], faces[j + 1])
-    class_of = [0] * n_edges
-    groups = ds.groups()
-    for cid, members in enumerate(groups):
-        for e in members:
-            class_of[e] = cid
-    return ParallelClasses(cplx, tuple(class_of), len(groups))
+    class_of, count = DisjointSet(cplx.n_cubes(1)).labels(
+        zip(faces[::2], faces[1::2]))
+    return ParallelClasses(cplx, tuple(class_of), count)
 
 
 @dataclass

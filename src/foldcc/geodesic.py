@@ -31,7 +31,6 @@ from .errors import (
     IsCircle,
     MismatchedBase,
     NotClosed,
-    NotConnected,
     NotSingleClass,
     PreconditionFailed,
 )
@@ -140,7 +139,7 @@ def is_local_geodesic(cplx, path):
 
 
 # ---------------------------------------------------------------------------
-# perpendicular sets and transfer maps
+# transfer maps
 
 @dataclass
 class TransferMap:
@@ -154,13 +153,6 @@ class TransferMap:
 
     def __call__(self, direction):
         return self.vertex_map[direction]
-
-
-def perpendicular_set(cplx, e):
-    """Directions at tail(e) at distance pi/2 from e, sorted."""
-    nbrs, _, masks = cplx.directions(e.tail)
-    mask = masks.get(e.head, 0)
-    return tuple(w for j, w in enumerate(nbrs) if mask >> j & 1)
 
 
 def transfer(cplx, e):
@@ -282,26 +274,6 @@ def _probe_loop(cplx, coloring, e):
     x = _node(cplx, e)
     loop = _connector(cplx, coloring.colors, coloring.colors[x >> 1], x, x)
     return _path(cplx, [x, *loop, x ^ 1], e.tail, closed=False)
-
-
-def graph_connector(graph, e1, e2):
-    """Connector in a 1-dimensional cubical complex, as an EdgePath.
-
-    e1, e2 are OrientedEdges of `graph`; the result runs from head(e1) to
-    head(e2) and concatenates with e1 and reverse(e2) without backtracking
-    (the e1 = e2 form gives the probe loop of the Lemma).
-    """
-    if graph.dim > 1:
-        raise PreconditionFailed("graph_connector needs a 1-complex")
-    if graph.edge_index(*e1) is None or graph.edge_index(*e2) is None:
-        raise PreconditionFailed("edge not in graph")
-    if sum(len(part) > 1 for part in graph.vertex_components()) != 1:
-        raise NotConnected("graph is not connected")
-    colors = (0,) * graph.n_cubes(1)
-    if _is_circle(graph, colors, 0, e1.tail):
-        raise IsCircle("graph is a circle")
-    walk = _connector(graph, colors, 0, _node(graph, e1), _node(graph, e2))
-    return _path(graph, walk, e1.head, closed=False)
 
 
 # ---------------------------------------------------------------------------

@@ -173,8 +173,7 @@ def _step_d_search(cplx, coloring):
     """The theorem-proof construction over all blue/green/red rolings."""
     for blue, green, red in itertools.permutations(range(1, coloring.n + 1)):
         pieces = DisjointSet(cplx.vertex_count)
-        for e in coloring.edges_of_color(blue):
-            pieces.union(*cplx.cubes[1][e])
+        pieces.labels([cplx.cubes[1][e] for e in coloring.edges_of_color(blue)])
         for piece in pieces.groups():
             v_candidates = []   # (v', e_b tail blue dir, e_r red dir)
             w_candidates = []   # (v'', e_b' blue dir, e_g green dir)

@@ -13,11 +13,12 @@ from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
                          canonical_frame, is_flag, link)
 from foldcc.errors import (ConstructionFailed, IsCircle, NotAComplex,
                            NotConnected, PreconditionFailed)
-from foldcc.decomposition import HyperplaneComponent, Subcomplex
+from foldcc.decomposition import (CoveringReport, HyperplaneComponent,
+                                  Subcomplex)
 from foldcc.generators import Subdivision
 from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
-                             SimVClasses, is_local_geodesic,
-                             rank_one_certificate)
+                             SimVClasses, _connector, _is_circle, _node,
+                             _path, is_local_geodesic, rank_one_certificate)
 
 
 def brute_force_nonspanning_clique(K):
@@ -195,6 +196,19 @@ def reference_restrict(parent, cube_refs):
     return ComponentPiece(cplx, tuple(verts), vmap)
 
 
+def reference_split(parent, cube_refs):
+    """core._split as it was: a union per listed edge, then a find per
+    vertex; each group of refs goes through reference_restrict."""
+    ds = DisjointSet(parent.vertex_count)
+    for k, i in cube_refs:
+        if k == 1:
+            ds.union(*parent.cubes[1][i])
+    root, groups = [ds.find(v) for v in range(parent.vertex_count)], {}
+    for k, i in cube_refs:
+        groups.setdefault(root[parent.cubes[k][i][0]], []).append((k, i))
+    return [reference_restrict(parent, groups[r]) for r in sorted(groups)]
+
+
 def reference_subcomplex_XT(cplx, coloring, T):
     """subcomplex_XT as it was: one test of every edge of every cube."""
     T = frozenset(T)
@@ -224,6 +238,14 @@ def midcube_corners(cplx, k, i, axis):
         p = sum(1 << ax for j, ax in enumerate(rest) if (b >> j) & 1)
         corners.append(cplx.edge_index(cube[p], cube[p | (1 << axis)]))
     return tuple(corners)
+
+
+def midcube_axes(corners):
+    """The axes of the frame (0, axes) that puts the midcube corners of a
+    canonical carrier, in carrier order, in canonical order: its least
+    corner is the edge at carrier corner 0."""
+    return tuple(sorted(range(len(corners).bit_length() - 1),
+                        key=lambda t: corners[1 << t]))
 
 
 def reference_hyperplanes(cplx, coloring, color):
@@ -306,6 +328,23 @@ def assert_locally_injective(g):
         for k in range(1, Y.dim + 1):
             hits = [images[(k, i)] for i, _ in star[k]]
             assert len(set(hits)) == len(hits)
+
+
+def reference_is_covering(g):
+    """decomposition.is_covering as it was, one set difference per
+    edge-space vertex."""
+    Y = g.edge_space.complex
+    B = g.vertex_space.complex
+    for w in range(Y.vertex_count):
+        v = g.vertex_map[w]
+        images = [g.vertex_map[w2] for w2 in Y.neighbors(w)]
+        targets = list(B.neighbors(v))
+        missed = sorted(set(targets) - set(images))
+        if missed:
+            return CoveringReport(False, w, (v, missed[0]))
+        if len(set(images)) != len(images) or len(images) != len(targets):
+            return CoveringReport(False, w, None)
+    return CoveringReport(True)
 
 
 # The half subdivision as it was built when every complex kept a map from
@@ -695,6 +734,37 @@ def _walk_to_path(edge_list, walk, base, closed):
     for ref in walk:
         steps.append(OrientedEdge(_tail(edge_list, ref), _head(edge_list, ref)))
     return EdgePath(base, tuple(steps), closed)
+
+
+# foldcc.geodesic's perpendicular sets and 1-complex connectors, which
+# nothing in the library called, kept for the tests of the direction table
+# and of the oriented-edge walks
+
+def perpendicular_set(cplx, e):
+    """Directions at tail(e) at distance pi/2 from e, sorted."""
+    nbrs, _, masks = cplx.directions(e.tail)
+    mask = masks.get(e.head, 0)
+    return tuple(w for j, w in enumerate(nbrs) if mask >> j & 1)
+
+
+def graph_connector(graph, e1, e2):
+    """Connector in a 1-dimensional cubical complex, as an EdgePath.
+
+    e1, e2 are OrientedEdges of `graph`; the result runs from head(e1) to
+    head(e2) and concatenates with e1 and reverse(e2) without backtracking
+    (the e1 = e2 form gives the probe loop of the Lemma).
+    """
+    if graph.dim > 1:
+        raise PreconditionFailed("graph_connector needs a 1-complex")
+    if graph.edge_index(*e1) is None or graph.edge_index(*e2) is None:
+        raise PreconditionFailed("edge not in graph")
+    if sum(len(part) > 1 for part in graph.vertex_components()) != 1:
+        raise NotConnected("graph is not connected")
+    colors = (0,) * graph.n_cubes(1)
+    if _is_circle(graph, colors, 0, e1.tail):
+        raise IsCircle("graph is a circle")
+    walk = _connector(graph, colors, 0, _node(graph, e1), _node(graph, e2))
+    return _path(graph, walk, e1.head, closed=False)
 
 
 def reference_color_component_edges(cplx, coloring, v, color):

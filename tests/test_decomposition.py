@@ -1,12 +1,11 @@
 import itertools
 import random
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldcc import core, decomposition
+from foldcc import decomposition
 from foldcc.core import (CubicalComplex, canonical_frame, is_flag, link,
                          validate_fcc)
 from foldcc.decomposition import (count_identity_holds, direction_parity,
@@ -19,10 +18,10 @@ from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
 
 from helpers import (assert_incidence, assert_locally_injective,
                      assert_same_complex, assert_vertex_set_lookups,
-                     attaching_images, midcube_corners, reference_color_axis,
-                     reference_cube_map, reference_hyperplanes,
-                     reference_restrict, reference_subcomplex_XT,
-                     relabelled)
+                     attaching_images, midcube_axes, midcube_corners,
+                     reference_color_axis, reference_cube_map,
+                     reference_hyperplanes, reference_is_covering,
+                     reference_split, reference_subcomplex_XT, relabelled)
 
 
 def colored(cplx):
@@ -284,18 +283,16 @@ REFERENCE_BASES = [cycle_graph(6), torus_grid((4, 4)), torus_grid((4, 6)),
 
 
 def assert_matches_the_references(cplx, coloring):
-    """X_T and its vertex spaces for every T, hyperplane components and
-    attaching maps for every color, against the per-cube X_T and the
-    builds through face closure."""
+    """X_T and its vertex spaces for every T, hyperplane components,
+    attaching maps and covering reports for every color, against the
+    per-cube X_T, the builds through face closure and the old star
+    check."""
     n = coloring.n
     for r in range(1, n + 1):
         for T in itertools.combinations(range(1, n + 1), r):
             sub = subcomplex_XT(cplx, coloring, T)
             assert sub.refs == reference_subcomplex_XT(cplx, coloring, T).refs
-            got = sub.components()
-            with mock.patch.object(core, "restrict_complex",
-                                   reference_restrict):
-                want = sub.components()
+            got, want = sub.components(), reference_split(cplx, sub.refs)
             assert len(got) == len(want)
             for piece, ref in zip(got, want):
                 assert_same_complex(piece.complex, ref.complex)
@@ -326,6 +323,7 @@ def assert_matches_the_references(cplx, coloring):
                 # each cube's vertex-map image is the side face of its carrier
                 assert attaching_images(g) == reference_cube_map(
                     cplx, coloring, color, parity, h, carrier, g.side, piece)
+                assert is_covering(g) == reference_is_covering(g)
 
 
 def assert_frames_read_off_the_carriers(cplx, coloring):
@@ -338,7 +336,7 @@ def assert_frames_read_off_the_carriers(cplx, coloring):
                 if axis is not None:
                     corners = midcube_corners(cplx, k, i, axis)
                     assert canonical_frame(corners) == (
-                        0, decomposition._midcube_axes(corners))
+                        0, midcube_axes(corners))
 
 
 class TestAgainstTheClosureReferences:
@@ -355,6 +353,24 @@ class TestAgainstTheClosureReferences:
                                             random.Random(8)))
         assert_matches_the_references(cplx, coloring)
         assert_frames_read_off_the_carriers(cplx, coloring)
+
+    def test_relabelled_four_torus(self):
+        # midcubes of dimension 3 are built from those of dimension 2
+        cplx, coloring = colored(relabelled(torus_grid((4, 4, 4, 4)),
+                                            random.Random(8)))
+        assert cplx.dim == 4
+        assert_matches_the_references(cplx, coloring)
+        assert_frames_read_off_the_carriers(cplx, coloring)
+
+    @pytest.mark.parametrize("base", [b for b in REFERENCE_BASES
+                                      if b.dim >= 2])
+    def test_covering_reports_on_every_base(self, base):
+        # the relabelled runs above sample the bases; this takes each once
+        cplx, coloring = colored(base)
+        for color in range(1, coloring.n + 1):
+            for pair in graph_of_spaces(cplx, coloring, color).attaching:
+                for g in pair:
+                    assert is_covering(g) == reference_is_covering(g)
 
     def test_the_decomposition_builds_no_closure(self, torus44, monkeypatch):
         # pieces and hyperplane components reindex the parent's tables

@@ -12,12 +12,12 @@ from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
                              _loop_at, _path, _probe_loop,
                              build_all_color_geodesic,
                              build_strict_pi_geodesic, distance_class,
-                             graph_connector, is_local_geodesic,
-                             perpendicular_set, rank_one_certificate,
+                             is_local_geodesic, rank_one_certificate,
                              serialize_path, sim_v_classes,
                              strict_pi_certificate, transfer)
 
-from helpers import (link_graph_distances, reference_color_component_edges,
+from helpers import (graph_connector, link_graph_distances,
+                     perpendicular_set, reference_color_component_edges,
                      reference_cross_pairs, reference_distance_class,
                      reference_link_adj, reference_loop_path,
                      reference_probe_loop, reference_sim_v_classes,

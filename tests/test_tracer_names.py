@@ -32,13 +32,14 @@ def test_every_wrapped_name_resolves():
 
 
 def test_graph_of_spaces_calls_the_timed_layers_once(monkeypatch):
-    # the tracer times subcomplex_XT and hyperplanes by rebinding them in
-    # every module; a graph of spaces that bypassed them would read 0 there
+    # the tracer times subcomplex_XT, hyperplanes and direction_parity by
+    # rebinding them in every module; a graph of spaces that bypassed them
+    # would read 0 there
     import foldcc
     from foldcc.folding import coloring_from, find_folding
     from foldcc.generators import torus_grid
     trace = load_tracer().Trace()
-    for name in ("subcomplex_XT", "hyperplanes"):
+    for name in ("subcomplex_XT", "hyperplanes", "direction_parity"):
         orig = getattr(decomposition, name)
         wrapped = trace.counted("decomposition." + name, orig)
         for mod in [foldcc] + list(MODULES.values()):
@@ -48,4 +49,5 @@ def test_graph_of_spaces_calls_the_timed_layers_once(monkeypatch):
     cplx = torus_grid((4, 4, 4))
     decomposition.graph_of_spaces(cplx, coloring_from(find_folding(cplx)), 2)
     assert trace.counts == {"decomposition.subcomplex_XT": [1],
-                            "decomposition.hyperplanes": [1]}
+                            "decomposition.hyperplanes": [1],
+                            "decomposition.direction_parity": [1]}
