@@ -12,10 +12,10 @@ cube.
 Simplices are stored as sorted vertex tuples.
 
 The 1-skeleton bookkeeping shared by the other modules lives here too:
-`DisjointSet` (connectivity: components, parallel classes, sim_v
-partitions), `spanning_forest_labels` (parities along a spanning forest:
-folding corners, cycle bases, direction parities) and
-`CubicalComplex.axis_edges` (the edge of each axis of a cube).
+`DisjointSet` (components, parallel classes, sim_v partitions), the
+incidence table of `CubicalComplex` (each vertex's neighbours and edges),
+`spanning_forest_labels` (parities along a spanning forest of that table)
+and `CubicalComplex.axis_edges` (the edge of each axis of a cube).
 
 File formats (ASCII, LF, '#' comments):
 
@@ -208,35 +208,32 @@ class DisjointSet:
         return label, count
 
 
-def spanning_forest_labels(vertex_count, edges, weights):
-    """XOR labels along a spanning forest of the multigraph `edges`.
+def spanning_forest_labels(cplx, weights):
+    """XOR labels along a spanning forest of the 1-skeleton of `cplx`.
 
     Each component is labelled from its lowest vertex, at label 0, with
     label[w] = label[u] ^ weights[e] along tree edges.  The forest is fixed
-    (cycle bases depend on it): a stack over adjacency in edge order, a
-    vertex labelled when pushed.  Returns (label, off-tree edges in
-    increasing order); the labels fit every edge iff they fit the
-    off-tree ones.
+    (cycle bases depend on it): a stack over the incidence table, each
+    vertex's edges by increasing other end, a vertex labelled when pushed.
+    Returns (label, off-tree edges in increasing order); the labels fit
+    every edge iff they fit the off-tree ones.
     """
-    adj = [[] for _ in range(vertex_count)]
-    for e, (u, w) in enumerate(edges):
-        adj[u].append((w, e))
-        adj[w].append((u, e))
-    label = [None] * vertex_count
-    in_tree = bytearray(len(edges))
-    for base in range(vertex_count):
+    nbrs, edges = cplx._incidence
+    label = [None] * cplx.vertex_count
+    in_tree = bytearray(cplx.n_cubes(1))
+    for base in range(cplx.vertex_count):
         if label[base] is not None:
             continue
         label[base] = 0
         stack = [base]
         while stack:
             u = stack.pop()
-            for w, e in adj[u]:
+            for w, e in zip(nbrs[u], edges[u]):
                 if label[w] is None:
                     label[w] = label[u] ^ weights[e]
                     in_tree[e] = 1
                     stack.append(w)
-    return label, [e for e in range(len(edges)) if not in_tree[e]]
+    return label, [e for e, t in enumerate(in_tree) if not t]
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +257,6 @@ class CubicalComplex:
         # per dim k: face indices (in dim k-1) of every k-cube, 2k per cube
         # in axis/side order
         self._faces = face_table
-        self._adj = None
         self._star = None
         self._n_above = None
         self._maximal = None
@@ -370,23 +366,33 @@ class CubicalComplex:
             return self.cubes[k][i]
         return None
 
+    @cached_property
+    def _incidence(self):
+        # per vertex: its neighbours and the edge to each.  Level 1 is
+        # sorted with u < w, so appending in edge order lists a vertex's
+        # edges by increasing other end
+        nbrs = [[] for _ in range(self.vertex_count)]
+        edges = [[] for _ in range(self.vertex_count)]
+        for e, (u, w) in enumerate(self.cubes[1] if len(self.cubes) > 1 else ()):
+            nbrs[u].append(w)
+            edges[u].append(e)
+            nbrs[w].append(u)
+            edges[w].append(e)
+        return list(map(tuple, nbrs)), edges
+
     def neighbors(self, v):
-        if self._adj is None:
-            adj = [[] for _ in range(self.vertex_count)]
-            if len(self.cubes) > 1:
-                for u, w in self.cubes[1]:
-                    adj[u].append(w)
-                    adj[w].append(u)
-            self._adj = tuple(tuple(sorted(a)) for a in adj)
-        return self._adj[v]
+        """Neighbours of v, increasing; UnknownVertex outside 0..N-1."""
+        if not 0 <= v < self.vertex_count:
+            raise UnknownVertex("vertex %d" % v)
+        return self._incidence[0][v]
 
     def edge_index(self, u, w):
         if not 0 <= u < self.vertex_count:
             return None
-        nbrs = self.neighbors(u)
+        nbrs = self._incidence[0][u]
         j = bisect_left(nbrs, w)
         if j < len(nbrs) and nbrs[j] == w:
-            return self._directions[0][u][j]
+            return self._incidence[1][u][j]
         return None
 
     def axis_edges(self, k):
@@ -406,22 +412,18 @@ class CubicalComplex:
         return table
 
     @cached_property
-    def _directions(self):
-        # per vertex: the edge index of each neighbour, and a dict from each
-        # neighbour to its link mask (bit j for the j-th neighbour)
-        bit = [{w: 1 << j for j, w in enumerate(self.neighbors(v))}
-               for v in range(self.vertex_count)]
-        edges = [[0] * len(bits) for bits in bit]
-        for e, (u, w) in enumerate(self.cubes[1] if len(self.cubes) > 1 else ()):
-            edges[u][bit[u][w].bit_length() - 1] = e
-            edges[w][bit[w][u].bit_length() - 1] = e
+    def _link_masks(self):
+        # per vertex: a dict from each neighbour to its link mask (bit j
+        # for the j-th neighbour), read off the squares
+        bit = [{w: 1 << j for j, w in enumerate(nbrs)}
+               for nbrs in self._incidence[0]]
         masks = [dict.fromkeys(bits, 0) for bits in bit]
         for c0, c1, c2, c3 in self.cubes[2] if len(self.cubes) > 2 else ():
             for v0, a, b in ((c0, c1, c2), (c1, c0, c3), (c2, c0, c3),
                              (c3, c1, c2)):
                 masks[v0][a] |= bit[v0][b]
                 masks[v0][b] |= bit[v0][a]
-        return edges, masks
+        return masks
 
     def directions(self, v):
         """The direction table at v: (neighbours in increasing order, the
@@ -431,8 +433,8 @@ class CubicalComplex:
         UnknownVertex for v outside 0..N-1."""
         if not 0 <= v < self.vertex_count:
             raise UnknownVertex("vertex %d" % v)
-        edges, masks = self._directions
-        return self.neighbors(v), edges[v], masks[v]
+        nbrs, edges = self._incidence
+        return nbrs[v], edges[v], self._link_masks[v]
 
     def star(self, v):
         """Cubes containing v: tuple over dims of lists of (index, position)."""
@@ -605,6 +607,8 @@ class SimplicialComplex:
         return tuple(sorted(vertices)) in self._members
 
     def neighbors(self, v):
+        if not 0 <= v < self.vertex_count:
+            raise UnknownVertex("vertex %d" % v)
         if self._adj is None:
             adj = [set() for _ in range(self.vertex_count)]
             if len(self.simplices) > 1:
@@ -748,8 +752,6 @@ class VertexLink:
 
 def link(cplx, v):
     """Vertex link; a set of directions spans a simplex iff a cube does."""
-    if not (0 <= v < cplx.vertex_count):
-        raise UnknownVertex("vertex %d" % v)
     dirs = cplx.neighbors(v)
     idx = {w: j for j, w in enumerate(dirs)}
     maximal = []
@@ -821,7 +823,7 @@ def _flag_witness(cplx):
     the witness.
     """
     n = cplx.vertex_count
-    masks = cplx._directions[1]
+    masks = cplx._link_masks
     suspect = bytearray(n)
     for k in range(2, len(cplx.cubes)):
         counts = cplx._coface_counts(k)

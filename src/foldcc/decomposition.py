@@ -157,7 +157,7 @@ def direction_parity(cplx, coloring, color):
     """
     edges = cplx.cubes[1]
     flips = [1 if c == color else 0 for c in coloring.colors]
-    parity, off_tree = spanning_forest_labels(cplx.vertex_count, edges, flips)
+    parity, off_tree = spanning_forest_labels(cplx, flips)
     for e in off_tree:
         u, w = edges[e]
         if parity[u] ^ parity[w] != flips[e]:

@@ -111,7 +111,7 @@ def _cycle_basis(cplx, classes):
     # over class ids, reduced to row-echelon form.
     edges = cplx.cubes[1]
     weights = [1 << c for c in classes.class_of]
-    label, off_tree = spanning_forest_labels(cplx.vertex_count, edges, weights)
+    label, off_tree = spanning_forest_labels(cplx, weights)
     # a repeated vector is in the span already: insert each one once, in
     # order of first occurrence, for the same echelon form
     pivots = {}
@@ -145,13 +145,10 @@ def _odd_crossing_cycle(cplx, edge_set):
     # times: the double-cover BFS path of the least base vertex whose
     # shortest odd closed walk is shortest overall (see NotFoldable).
     # Cover state x = 2v + parity; adj[v] holds 2w + flip per neighbour w
-    # in edge order, so the successor of x along it is code ^ (x & 1).
+    # in the incidence table, so the successor of x is code ^ (x & 1).
     n = cplx.vertex_count
-    adj = [[] for _ in range(n)]
-    for e, (u, w) in enumerate(cplx.cubes[1]):
-        flip = 1 if e in edge_set else 0
-        adj[u].append(2 * w + flip)
-        adj[w].append(2 * u + flip)
+    adj = [[2 * w + (e in edge_set) for w, e in zip(*row)]
+           for row in zip(*cplx._incidence)]
     # label each vertex by the parity a BFS of its component first reaches
     # it with; an odd closed walk crosses an edge the labels do not fit,
     # so it passes through one of the sources
@@ -470,7 +467,7 @@ def find_folding(cplx):
     # assemble vertex corners: lowest vertex of each component at corner 0;
     # verify_folding checks the edges off the spanning forest
     bits = [1 << (direction_of[c] - 1) for c in class_of]
-    corner, _ = spanning_forest_labels(cplx.vertex_count, cplx.cubes[1], bits)
+    corner, _ = spanning_forest_labels(cplx, bits)
 
     folding = Folding(cplx, classes, n, direction_of, tuple(corner))
     if not verify_folding(cplx, folding):

@@ -110,6 +110,17 @@ def assert_incidence(cplx):
         assert cplx.axis_edges(k) == [cplx.edge_index(cube[0], cube[1 << ax])
                                       for cube in cplx.cubes[k]
                                       for ax in range(k)]
+    # the incidence table lists each vertex's edges in edge order, which is
+    # increasing other end only while level 1 is sorted with u < w
+    rows = [[] for _ in range(cplx.vertex_count)]
+    for e, (u, w) in enumerate(cplx.cubes[1] if cplx.dim >= 1 else ()):
+        rows[u].append((w, e))
+        rows[w].append((u, e))
+    for v, row in enumerate(rows):
+        row.sort()
+        nbrs, edges = tuple(w for w, _ in row), [e for _, e in row]
+        assert cplx.neighbors(v) == nbrs
+        assert cplx.directions(v)[:2] == (nbrs, edges)
 
 
 def vertex_set_map(cplx):

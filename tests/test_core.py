@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,11 @@ from foldcc.core import (CubicalComplex, DisjointSet, SimplicialComplex,
                          serialize_simplicial, simplicial_isomorphic,
                          spanning_forest_labels, validate_fcc)
 from foldcc.errors import NotAComplex, NotHomogeneous, ParseError, UnknownVertex
-from foldcc.folding import NotFoldable, find_folding
+from foldcc.decomposition import graph_of_spaces
+from foldcc.folding import NotFoldable, coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex, product,
                                standard_sphere, torus_grid)
+from foldcc.rank import detect_rank3
 
 from helpers import (assert_incidence, assert_same_complex,
                      brute_force_nonspanning_clique, cube_face,
@@ -244,6 +247,13 @@ class TestLink:
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertex):
             link(torus_grid((4, 4)), 99)
+
+    def test_neighbors_refuse_unknown_vertices(self):
+        # -1 would index the last vertex's row, N would index past the end
+        for cx in (torus_grid((4, 4)), standard_sphere(2)):
+            for v in (-1, cx.vertex_count):
+                with pytest.raises(UnknownVertex):
+                    cx.neighbors(v)
 
     def test_link_directions_name_neighbors(self):
         cplx = torus_grid((4, 4))
@@ -775,14 +785,24 @@ class TestSimplicial:
 
 
 @st.composite
-def multigraphs(draw, max_weight=1):
-    """(n, edges, weights): loops and parallel edges allowed."""
+def multigraphs(draw):
+    """(n, edges): loops and parallel edges allowed."""
     n = draw(st.integers(1, 9))
     vertex = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=20))
-    weights = draw(st.lists(st.integers(0, max_weight), min_size=len(edges),
-                            max_size=len(edges)))
-    return n, edges, weights
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=20))
+
+
+@st.composite
+def weighted_graphs(draw, max_weight=1):
+    """(1-dimensional complex, weight per edge) on a drawn multigraph:
+    loops are dropped and parallel edges merged, as no complex has either."""
+    n, edges = draw(multigraphs())
+    cplx = CubicalComplex.from_maximal_cubes(
+        n, sorted({(min(e), max(e)) for e in edges if e[0] != e[1]}))
+    weights = draw(st.lists(st.integers(0, max_weight),
+                            min_size=cplx.n_cubes(1),
+                            max_size=cplx.n_cubes(1)))
+    return cplx, weights
 
 
 def bfs_components(n, edges):
@@ -810,7 +830,7 @@ class TestGraphHelpers:
     @settings(max_examples=300, deadline=None)
     @given(multigraphs())
     def test_disjoint_set_groups_are_the_components(self, graph):
-        n, edges, _ = graph
+        n, edges = graph
         ds = DisjointSet(n)
         for u, w in edges:
             ds.union(u, w)
@@ -823,10 +843,11 @@ class TestGraphHelpers:
             [v for v in group if v % 2] for group in groups) if g]
 
     @settings(max_examples=300, deadline=None)
-    @given(multigraphs(max_weight=15))
+    @given(weighted_graphs(max_weight=15))
     def test_labels_follow_the_tree_edges(self, graph):
-        n, edges, weights = graph
-        label, off_tree = spanning_forest_labels(n, edges, weights)
+        cplx, weights = graph
+        n, edges = cplx.vertex_count, cplx.cubes[1] if cplx.dim >= 1 else ()
+        label, off_tree = spanning_forest_labels(cplx, weights)
         tree = set(range(len(edges))) - set(off_tree)
         assert off_tree == sorted(off_tree)
         for e in tree:
@@ -838,10 +859,11 @@ class TestGraphHelpers:
             assert sum(1 for e in tree if edges[e][0] in comp) == len(comp) - 1
 
     @settings(max_examples=300, deadline=None)
-    @given(multigraphs())
+    @given(weighted_graphs())
     def test_off_tree_mismatch_iff_odd_cycle(self, graph):
-        n, edges, weights = graph
-        label, off_tree = spanning_forest_labels(n, edges, weights)
+        cplx, weights = graph
+        n, edges = cplx.vertex_count, cplx.cubes[1] if cplx.dim >= 1 else ()
+        label, off_tree = spanning_forest_labels(cplx, weights)
         mismatch = any(label[edges[e][0]] ^ label[edges[e][1]] != weights[e]
                        for e in off_tree)
         two_colorable = any(
@@ -849,6 +871,42 @@ class TestGraphHelpers:
                 for e, (u, w) in enumerate(edges))
             for mask in range(1 << n))
         assert mismatch == (not two_colorable)
+
+
+class TestIncidenceTable:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        # every complex whose incidence table is built, once per build
+        out = []
+        build = CubicalComplex.__dict__["_incidence"].func
+
+        def counted(cplx):
+            out.append(cplx)
+            return build(cplx)
+
+        table = cached_property(counted)
+        table.__set_name__(CubicalComplex, "_incidence")
+        monkeypatch.setattr(CubicalComplex, "_incidence", table)
+        return out
+
+    def test_one_build_per_complex(self, built):
+        # the folding, its check, the rank steps and every graph of spaces
+        # share the parent's table
+        cplx = torus_grid((4, 4, 4))
+        folding = find_folding(cplx)
+        assert validate_fcc(cplx, folding=folding).is_fcc
+        detect_rank3(cplx, folding=folding, assume_fcc=True)
+        coloring = coloring_from(folding)
+        for color in range(1, folding.n + 1):
+            graph_of_spaces(cplx, coloring, color)
+        assert [c for c in built if c is cplx] == [cplx]
+
+    def test_parity_cycle_reads_the_folding_search_table(self, built):
+        odd = torus_grid((5, 4, 4))
+        result = find_folding(odd)
+        assert [c for c in built if c is odd] == [odd]
+        assert len(result.cycle) == 5
+        assert [c for c in built if c is odd] == [odd]
 
 
 CELL_LINES = st.one_of(

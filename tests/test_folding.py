@@ -134,8 +134,7 @@ class TestFindFolding:
             classes = parallel_classes(cplx)
             edges = cplx.cubes[1]
             weights = [1 << c for c in classes.class_of]
-            label, off_tree = spanning_forest_labels(cplx.vertex_count, edges,
-                                                     weights)
+            label, off_tree = spanning_forest_labels(cplx, weights)
             pivots = {}
             for e in off_tree:
                 u, w = edges[e]
