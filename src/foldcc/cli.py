@@ -18,9 +18,8 @@ import os
 import sys
 
 from . import core, decomposition, generators, geodesic, rank
-from .errors import ConstructionFailed, FoldccError, NotFCC, ParseError
-from .folding import (NotFoldable, coloring_from, find_folding,
-                      serialize_folding)
+from .errors import ConstructionFailed, FoldccError, ParseError
+from .folding import NotFoldable, find_folding, serialize_folding
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -72,10 +71,7 @@ def cmd_fold(args):
 
 def _colored(path):
     cplx = _load(path)
-    folding = find_folding(cplx)
-    if isinstance(folding, NotFoldable):
-        raise NotFCC("complex is not foldable")
-    return cplx, coloring_from(folding)
+    return cplx, rank._prepare(cplx, None, assume_fcc=True)[1]
 
 
 def cmd_decompose(args):
@@ -150,9 +146,9 @@ def cmd_geodesic(args):
         paths.append(path)
         pairs.append(("class.%d.path.length" % j, len(path)))
         pairs.append(("class.%d.path.vertices" % j, path.vertices()))
-    sys.stdout.write(core.render_report("geodesic-report v1", pairs))
     if args.out and paths:
         _write(args.out, geodesic.serialize_path(paths[0]))
+    sys.stdout.write(core.render_report("geodesic-report v1", pairs))
     return 0
 
 
@@ -177,7 +173,7 @@ def _parse_generate_spec(spec, args):
         if not rest.startswith("K="):
             raise ParseError("davisX needs K=<path>")
         K = core.load_simplicial(_read(rest[2:]))
-        sub = generators.davis_X(K, max_generators=args.max_generators)
+        sub = generators.davis_X(K)
         sub.complex.provenance = spec
         return core.serialize_complex(sub.complex)
     if kind == "product":
@@ -277,7 +273,6 @@ def build_parser():
     p.add_argument("--out")
     p.add_argument("--allow-dim1", action="store_true",
                    help="permit hemispherex n=1 (extension mode)")
-    p.add_argument("--max-generators", type=int, default=16)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("info", help="cell counts and basic invariants")

@@ -31,7 +31,7 @@ that generated files round-trip byte-identically.
 import itertools
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import NotAComplex, ParseError, UnknownVertex
@@ -447,16 +447,6 @@ class CubicalComplex:
             self._star = tables
         return self._star[v]
 
-    def cubes_with_edge(self, u, w):
-        """Yield (k, i, pos_u, axis) for cubes containing the edge u-w."""
-        for k in range(1, len(self.cubes)):
-            for i, pos in self.star(u)[k]:
-                cube = self.cubes[k][i]
-                for axis in range(k):
-                    if cube[pos ^ (1 << axis)] == w:
-                        yield k, i, pos, axis
-                        break
-
     def vertex_components(self):
         """Partition of vertices by 1-skeleton connectivity, each sorted."""
         ds = DisjointSet(self.vertex_count)
@@ -747,7 +737,6 @@ class VertexLink:
     at: int
     directions: tuple
     complex: SimplicialComplex
-    index_of: dict = field(repr=False)
 
 
 def link(cplx, v):
@@ -761,7 +750,7 @@ def link(cplx, v):
             cube = cplx.cubes[k][i]
             maximal.append(tuple(idx[cube[pos ^ (1 << ax)]] for ax in range(k)))
     K = SimplicialComplex.from_maximal(len(dirs), maximal)
-    return VertexLink(v, dirs, K, idx)
+    return VertexLink(v, dirs, K)
 
 
 # ---------------------------------------------------------------------------

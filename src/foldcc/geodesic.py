@@ -13,11 +13,14 @@ least pi, i.e. the incoming-reversed and outgoing directions are neither
 equal nor sides of a common square.
 
 Every search walks nodes x = 2e + flip: edge e = (u, w) with u < w, run
-from u to w when flip is 0, so x ^ 1 is the reverse run.  The successors
-of a node are read from the direction table of its head, only for the
-vertices a walk reaches.  The connectors and probe loops of the Lemma keep
-to one color; two directions of one color never span a square, so there
-"does not backtrack" and "is a local geodesic" are the same rule.
+from u to w when flip is 0, so x ^ 1 is the reverse run.  One rule,
+`_turns`, gives the successors of a node: the directions at its head that
+neither go back nor span a square with the way in, read from the direction
+table of the head, only for the vertices a walk reaches.  The connectors
+and probe loops of the Lemma keep to one color and filter the turns by
+it; the turn-graph test takes them all.  A witness stays a list of nodes
+while its pieces are chained, reversed (x -> x ^ 1, in reverse order) and
+rotated, and becomes one EdgePath at the end.
 """
 
 from collections import deque
@@ -75,17 +78,6 @@ class EdgePath:
         out = [self.base]
         out.extend(s.head for s in self.steps)
         return out
-
-    def reversed(self):
-        end = self.steps[-1].head if self.steps else self.base
-        return EdgePath(end, tuple(s.reverse for s in reversed(self.steps)),
-                        self.closed)
-
-    def rotated(self, i):
-        if not self.closed:
-            raise NotClosed("only closed paths rotate")
-        steps = self.steps[i:] + self.steps[:i]
-        return EdgePath(steps[0].tail if steps else self.base, steps, True)
 
     def color_set(self, coloring):
         return {coloring.of_pair(s.tail, s.head) for s in self.steps}
@@ -151,21 +143,19 @@ class TransferMap:
     edge: OrientedEdge
     vertex_map: dict
 
-    def __call__(self, direction):
-        return self.vertex_map[direction]
-
 
 def transfer(cplx, e):
     """The isometry P_e -> P_{reverse(e)} on perpendicular directions."""
     v, w = e
+    star = cplx.star(v)
     mapping = {}
-    for k, i, pos, axis in cplx.cubes_with_edge(v, w):
-        if k != 2:
-            continue
+    for i, pos in star[2] if len(star) > 2 else ():
         square = cplx.cubes[2][i]
-        other = 1 - axis
-        x = square[pos ^ (1 << other)]
-        mapping[x] = square[pos ^ (1 << axis) ^ (1 << other)]
+        a, b = square[pos ^ 1], square[pos ^ 2]
+        if a == w:
+            mapping[b] = square[pos ^ 3]
+        elif b == w:
+            mapping[a] = square[pos ^ 3]
     return TransferMap(OrientedEdge(v, w), mapping)
 
 
@@ -208,17 +198,20 @@ def _bfs_walk(first, succ, goal):
     return None
 
 
-def _onward(cplx, colors, color):
-    # the nodes of one color leaving the head of x, by increasing head,
-    # except the reverse of x
-    edges = cplx.cubes[1]
+def _turns(cplx, x):
+    # the nodes leaving the head v of x, by increasing head, that neither
+    # go back to its tail u nor span a square with u at v
+    u, v = _ends(cplx.cubes[1], x)
+    nbrs, out, masks = cplx.directions(v)
+    free = ~(masks[u] | 1 << nbrs.index(u))
+    return [2 * e + (v > w) for j, (w, e) in enumerate(zip(nbrs, out))
+            if free >> j & 1]
 
-    def succ(x):
-        u, v = _ends(edges, x)
-        nbrs, out, _ = cplx.directions(v)
-        return [2 * e + (v > w) for w, e in zip(nbrs, out)
-                if colors[e] == color and w != u]
-    return succ
+
+def _onward(cplx, colors, color):
+    # the turns of one color; two directions of one color never span a
+    # square, so these are the ones that do not go back
+    return lambda x: [y for y in _turns(cplx, x) if colors[y >> 1] == color]
 
 
 def _is_circle(cplx, colors, color, v):
@@ -269,11 +262,9 @@ def _loop_at(cplx, colors, color, v):
     return min(walks, key=len)
 
 
-def _probe_loop(cplx, coloring, e):
-    # the geodesic segment e * loop * reverse(e) inside the color of e
-    x = _node(cplx, e)
-    loop = _connector(cplx, coloring.colors, coloring.colors[x >> 1], x, x)
-    return _path(cplx, [x, *loop, x ^ 1], e.tail, closed=False)
+def _probe(cplx, colors, x):
+    # the geodesic segment x * loop * (x ^ 1) inside the color of x
+    return [x, *_connector(cplx, colors, colors[x >> 1], x, x), x ^ 1]
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +306,6 @@ def all_color_turn_cycle(cplx, coloring):
     """
     edges = cplx.cubes[1] if cplx.dim >= 1 else ()
     colors = coloring.colors
-    table = [cplx.directions(v) for v in range(cplx.vertex_count)]
-
-    def turns(x):
-        u, v = _ends(edges, x)
-        nbrs, out, masks = table[v]
-        free = ~(masks[u] | 1 << nbrs.index(u))
-        return [2 * e + (v > w) for j, (w, e) in enumerate(zip(nbrs, out))
-                if free >> j & 1]
 
     nodes = range(2 * len(edges))
     finished, seen = [], bytearray(len(nodes))
@@ -335,7 +318,7 @@ def all_color_turn_cycle(cplx, coloring):
             elif not seen[x]:
                 seen[x] = 1
                 stack.append(~x)
-                stack.extend(y for y in turns(x) if not seen[y])
+                stack.extend(y for y in _turns(cplx, x) if not seen[y])
     comp, masks = [-1] * len(nodes), []
     for root in reversed(finished):
         if comp[root] < 0:
@@ -343,7 +326,7 @@ def all_color_turn_cycle(cplx, coloring):
             while todo:
                 x = todo.pop()
                 mask |= 1 << colors[x >> 1]
-                for y in turns(x ^ 1):
+                for y in _turns(cplx, x ^ 1):
                     if comp[y ^ 1] < 0:
                         comp[y ^ 1] = comp[root]
                         todo.append(y ^ 1)
@@ -351,12 +334,13 @@ def all_color_turn_cycle(cplx, coloring):
     full = (1 << (coloring.n + 1)) - 2
     start = next((x for x in nodes if colors[x >> 1] == 1
                   and masks[comp[x]] == full
-                  and any(comp[y] == comp[x] for y in turns(x))), None)
+                  and any(comp[y] == comp[x] for y in _turns(cplx, x))),
+                 None)
     if start is None:
         return None
 
     def inside(x):
-        return [y for y in turns(x) if comp[y] == comp[start]]
+        return [y for y in _turns(cplx, x) if comp[y] == comp[start]]
 
     walk = [start]
     for k in range(2, coloring.n + 1):
@@ -407,19 +391,6 @@ def sim_v_classes(cplx, coloring, v):
 # ---------------------------------------------------------------------------
 # closed geodesic builders
 
-def _rotate_to_color_at(cplx, coloring, path, v, color):
-    # reparametrize a closed path to start at v along an edge of the color
-    for t, s in enumerate(path.steps):
-        if s.tail == v and coloring.of_pair(s.tail, s.head) == color:
-            return path.rotated(t), s
-    rev = path.reversed()
-    for t, s in enumerate(rev.steps):
-        if s.tail == v and coloring.of_pair(s.tail, s.head) == color:
-            return rev.rotated(t), s
-    raise ConstructionFailed(
-        "path has no color-%d edge at vertex %d" % (color, v))
-
-
 def build_all_color_geodesic(cplx, coloring, v, T):
     """Closed local geodesic through v covering every color of T.
 
@@ -432,42 +403,45 @@ def build_all_color_geodesic(cplx, coloring, v, T):
     if T not in simv.partition:
         raise NotSingleClass("%r is not a sim_v class at %d" % (sorted(T), v))
 
-    order = [min(T)]
+    # each new color ck joins the first chained color cj it is related to
+    order, chain = [min(T)], []
     remaining = sorted(T - set(order))
     while remaining:
-        nxt = None
-        for c in remaining:
-            if any((min(c, o), max(c, o)) in simv.witnesses for o in order):
-                nxt = c
+        for ck in remaining:
+            cj = next((o for o in order
+                       if (min(ck, o), max(ck, o)) in simv.witnesses), None)
+            if cj is not None:
                 break
-        if nxt is None:
+        else:
             raise NotSingleClass("class %r is not chained at %d" % (sorted(T), v))
-        order.append(nxt)
-        remaining.remove(nxt)
+        order.append(ck)
+        chain.append((ck, cj))
+        remaining.remove(ck)
 
-    base_walk = _loop_at(cplx, coloring.colors, order[0], v)
-    path = _path(cplx, base_walk, v, closed=True)
-
-    for t in range(1, len(order)):
-        ck = order[t]
-        cj = None
-        for o in order[:t]:
-            if (min(ck, o), max(ck, o)) in simv.witnesses:
-                cj = o
-                break
+    colors, edges = coloring.colors, cplx.cubes[1]
+    walk = _loop_at(cplx, colors, order[0], v)
+    for ck, cj in chain:
         pair = simv.witnesses[(min(ck, cj), max(ck, cj))]
         d_j, d_k = pair if cj <= ck else (pair[1], pair[0])
-        e_jp = OrientedEdge(v, d_j)
-        e_k = OrientedEdge(v, d_k)
-        c1 = _probe_loop(cplx, coloring, e_k)
-        c2 = _probe_loop(cplx, coloring, e_jp)
-        path, e_j = _rotate_to_color_at(cplx, coloring, path, v, cj)
-        if e_jp != e_j:
-            c3 = _probe_loop(cplx, coloring, e_j)
-            steps = c1.steps + c2.steps + path.steps + c3.steps + c2.steps
+        x_jp = _node(cplx, (v, d_j))
+        c1 = _probe(cplx, colors, _node(cplx, (v, d_k)))
+        c2 = _probe(cplx, colors, x_jp)
+        # restart the walk, or its reverse, at its first step out of v
+        # along color cj
+        for w in (walk, [x ^ 1 for x in reversed(walk)]):
+            t = next((t for t, x in enumerate(w) if colors[x >> 1] == cj
+                      and _ends(edges, x)[0] == v), None)
+            if t is not None:
+                walk = w[t:] + w[:t]
+                break
         else:
-            steps = path.steps + c2.steps + c1.steps
-        path = EdgePath(v, steps, closed=True)
+            raise ConstructionFailed(
+                "path has no color-%d edge at vertex %d" % (cj, v))
+        if walk[0] != x_jp:
+            walk = c1 + c2 + walk + _probe(cplx, colors, walk[0]) + c2
+        else:
+            walk = walk + c2 + c1
+    path = _path(cplx, walk, v, closed=True)
 
     ok, where = is_local_geodesic(cplx, path)
     if not ok:
@@ -487,9 +461,10 @@ def build_strict_pi_geodesic(cplx, coloring, v, a, b):
         raise PreconditionFailed("directions must have different colors")
     if distance_class(cplx, v, a, b) is not DistanceClass.MORE_THAN_PI:
         raise PreconditionFailed("directions are not strictly beyond pi")
-    c1 = _probe_loop(cplx, coloring, OrientedEdge(v, a))
-    c2 = _probe_loop(cplx, coloring, OrientedEdge(v, b))
-    path = EdgePath(v, c1.steps + c2.steps, closed=True)
+    colors = coloring.colors
+    walk = (_probe(cplx, colors, _node(cplx, (v, a)))
+            + _probe(cplx, colors, _node(cplx, (v, b))))
+    path = _path(cplx, walk, v, closed=True)
     ok, where = is_local_geodesic(cplx, path)
     if not ok:
         raise ConstructionFailed("junction check failed at step %d" % where)

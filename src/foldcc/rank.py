@@ -171,6 +171,7 @@ def _pi_pairs_at(cplx, coloring, v, color_a, color_b):
 
 def _step_d_search(cplx, coloring):
     """The theorem-proof construction over all blue/green/red rolings."""
+    colors = coloring.colors
     for blue, green, red in itertools.permutations(range(1, coloring.n + 1)):
         pieces = DisjointSet(cplx.vertex_count)
         pieces.labels([cplx.cubes[1][e] for e in coloring.edges_of_color(blue)])
@@ -192,13 +193,11 @@ def _step_d_search(cplx, coloring):
                 # (the Lemma): its blue component is no circle
                 x1 = geo._node(cplx, (v1, d_b))
                 x2 = geo._node(cplx, (v2, d_bp))
-                walk = geo._connector(cplx, coloring.colors, blue, x1, x2)
-                c = geo._path(cplx, [x1, *walk, x2 ^ 1], v1, closed=False)
-                c1 = geo._probe_loop(cplx, coloring, OrientedEdge(v1, d_r))
-                c2 = geo._probe_loop(cplx, coloring, OrientedEdge(v2, d_g))
-                path = geo.EdgePath(
-                    v1, c.steps + c2.steps + c.reversed().steps + c1.steps,
-                    closed=True)
+                c = [x1, *geo._connector(cplx, colors, blue, x1, x2), x2 ^ 1]
+                c1 = geo._probe(cplx, colors, geo._node(cplx, (v1, d_r)))
+                c2 = geo._probe(cplx, colors, geo._node(cplx, (v2, d_g)))
+                walk = c + c2 + [x ^ 1 for x in reversed(c)] + c1
+                path = geo._path(cplx, walk, v1, closed=True)
                 if geo.rank_one_certificate(cplx, coloring, path):
                     return path
     return None

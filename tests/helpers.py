@@ -12,13 +12,16 @@ from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
                          _corner_picker, _face_pickers, canonical_cube,
                          canonical_frame, is_flag, link)
 from foldcc.errors import (ConstructionFailed, IsCircle, NotAComplex,
-                           NotConnected, PreconditionFailed)
+                           NotClosed, NotConnected, NotSingleClass,
+                           PreconditionFailed)
 from foldcc.decomposition import (CoveringReport, HyperplaneComponent,
                                   Subcomplex)
 from foldcc.generators import Subdivision
 from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
-                             SimVClasses, _connector, _is_circle, _node,
-                             _path, is_local_geodesic, rank_one_certificate)
+                             SimVClasses, _connector, _is_circle, _loop_at,
+                             _node, _path, distance_class, is_local_geodesic,
+                             rank_one_certificate, sim_v_classes)
+from foldcc.rank import _pi_pairs_at
 
 
 def brute_force_nonspanning_clique(K):
@@ -813,3 +816,150 @@ def reference_loop_path(edge_list, v):
     built it from the color component's edge list."""
     walk = reference_loop_at_vertex(edge_list, v)
     return _walk_to_path(edge_list, walk, v, closed=True)
+
+
+def cubes_with_edge(cplx, u, w):
+    """Yield (k, i, pos_u, axis) for cubes containing the edge u-w."""
+    for k in range(1, len(cplx.cubes)):
+        for i, pos in cplx.star(u)[k]:
+            cube = cplx.cubes[k][i]
+            for axis in range(k):
+                if cube[pos ^ (1 << axis)] == w:
+                    yield k, i, pos, axis
+                    break
+
+
+# the geodesic builders as they were when every piece became an EdgePath
+# before it was chained: kept as the reference for the one-walk builders
+
+def _reversed(path):
+    end = path.steps[-1].head if path.steps else path.base
+    return EdgePath(end, tuple(s.reverse for s in reversed(path.steps)),
+                    path.closed)
+
+
+def _rotated(path, i):
+    if not path.closed:
+        raise NotClosed("only closed paths rotate")
+    steps = path.steps[i:] + path.steps[:i]
+    return EdgePath(steps[0].tail if steps else path.base, steps, True)
+
+
+def _probe_loop(cplx, coloring, e):
+    # the geodesic segment e * loop * reverse(e) inside the color of e
+    x = _node(cplx, e)
+    loop = _connector(cplx, coloring.colors, coloring.colors[x >> 1], x, x)
+    return _path(cplx, [x, *loop, x ^ 1], e.tail, closed=False)
+
+
+def _rotate_to_color_at(cplx, coloring, path, v, color):
+    # reparametrize a closed path to start at v along an edge of the color
+    for t, s in enumerate(path.steps):
+        if s.tail == v and coloring.of_pair(s.tail, s.head) == color:
+            return _rotated(path, t), s
+    rev = _reversed(path)
+    for t, s in enumerate(rev.steps):
+        if s.tail == v and coloring.of_pair(s.tail, s.head) == color:
+            return _rotated(rev, t), s
+    raise ConstructionFailed(
+        "path has no color-%d edge at vertex %d" % (color, v))
+
+
+def reference_all_color_geodesic(cplx, coloring, v, T):
+    simv = sim_v_classes(cplx, coloring, v)
+    T = frozenset(T)
+    if T not in simv.partition:
+        raise NotSingleClass("%r is not a sim_v class at %d" % (sorted(T), v))
+
+    order = [min(T)]
+    remaining = sorted(T - set(order))
+    while remaining:
+        nxt = None
+        for c in remaining:
+            if any((min(c, o), max(c, o)) in simv.witnesses for o in order):
+                nxt = c
+                break
+        if nxt is None:
+            raise NotSingleClass("class %r is not chained at %d" % (sorted(T), v))
+        order.append(nxt)
+        remaining.remove(nxt)
+
+    base_walk = _loop_at(cplx, coloring.colors, order[0], v)
+    path = _path(cplx, base_walk, v, closed=True)
+
+    for t in range(1, len(order)):
+        ck = order[t]
+        cj = None
+        for o in order[:t]:
+            if (min(ck, o), max(ck, o)) in simv.witnesses:
+                cj = o
+                break
+        pair = simv.witnesses[(min(ck, cj), max(ck, cj))]
+        d_j, d_k = pair if cj <= ck else (pair[1], pair[0])
+        e_jp = OrientedEdge(v, d_j)
+        e_k = OrientedEdge(v, d_k)
+        c1 = _probe_loop(cplx, coloring, e_k)
+        c2 = _probe_loop(cplx, coloring, e_jp)
+        path, e_j = _rotate_to_color_at(cplx, coloring, path, v, cj)
+        if e_jp != e_j:
+            c3 = _probe_loop(cplx, coloring, e_j)
+            steps = c1.steps + c2.steps + path.steps + c3.steps + c2.steps
+        else:
+            steps = path.steps + c2.steps + c1.steps
+        path = EdgePath(v, steps, closed=True)
+
+    ok, where = is_local_geodesic(cplx, path)
+    if not ok:
+        raise ConstructionFailed("junction check failed at step %d" % where)
+    if not (T <= path.color_set(coloring)):
+        raise ConstructionFailed("constructed path misses a color of %r"
+                                 % sorted(T))
+    return path
+
+
+def reference_strict_pi_geodesic(cplx, coloring, v, a, b):
+    i = coloring.of_pair(v, a)
+    j = coloring.of_pair(v, b)
+    if i == j:
+        raise PreconditionFailed("directions must have different colors")
+    if distance_class(cplx, v, a, b) is not DistanceClass.MORE_THAN_PI:
+        raise PreconditionFailed("directions are not strictly beyond pi")
+    c1 = _probe_loop(cplx, coloring, OrientedEdge(v, a))
+    c2 = _probe_loop(cplx, coloring, OrientedEdge(v, b))
+    path = EdgePath(v, c1.steps + c2.steps, closed=True)
+    ok, where = is_local_geodesic(cplx, path)
+    if not ok:
+        raise ConstructionFailed("junction check failed at step %d" % where)
+    return path
+
+
+def reference_step_d_search(cplx, coloring):
+    for blue, green, red in itertools.permutations(range(1, coloring.n + 1)):
+        pieces = DisjointSet(cplx.vertex_count)
+        pieces.labels([cplx.cubes[1][e] for e in coloring.edges_of_color(blue)])
+        for piece in pieces.groups():
+            v_candidates = []
+            w_candidates = []
+            for v in piece:
+                br = _pi_pairs_at(cplx, coloring, v, blue, red)
+                if br:
+                    v_candidates.append((v, br[0]))
+                bg = _pi_pairs_at(cplx, coloring, v, blue, green)
+                if bg:
+                    w_candidates.append((v, bg[0]))
+            if not v_candidates or not w_candidates:
+                continue
+            for (v1, (d_b, d_r)), (v2, (d_bp, d_g)) in itertools.product(
+                    v_candidates, w_candidates):
+                x1 = _node(cplx, (v1, d_b))
+                x2 = _node(cplx, (v2, d_bp))
+                walk = _connector(cplx, coloring.colors, blue, x1, x2)
+                c = _path(cplx, [x1, *walk, x2 ^ 1], v1, closed=False)
+                c1 = _probe_loop(cplx, coloring, OrientedEdge(v1, d_r))
+                c2 = _probe_loop(cplx, coloring, OrientedEdge(v2, d_g))
+                path = EdgePath(
+                    v1, c.steps + c2.steps + _reversed(c).steps + c1.steps,
+                    closed=True)
+                if rank_one_certificate(cplx, coloring, path):
+                    return path
+    return None

@@ -221,11 +221,19 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [["rank"], ["nosuch", "x.cplx"],
                                       ["geodesic", "x.cplx", "--from", "a"],
                                       ["rank", "x.cplx", "--general",
-                                       "--length-cap", "5"]])
+                                       "--length-cap", "5"],
+                                      ["generate", "davisX:K=x",
+                                       "--max-generators", "5"]])
     def test_usage_error_exits_64(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 64
         assert_refusal(out, err)
+
+    def test_generate_takes_no_generator_cap(self, capsys):
+        # davis_Y's cap is a library parameter only
+        _, _, err = run(capsys, "generate", "davisX:K=x",
+                        "--max-generators", "5")
+        assert "unrecognized arguments: --max-generators 5" in err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -242,6 +250,14 @@ class TestFailedOutWrite:
         run(capsys, "generate", "torus:4,4", "--out", str(f))
         code, out, err = run(capsys, command, str(f), "--color", "1",
                              "--out", str(f))
+        assert code == 64
+        assert_refusal(out, err)
+
+    def test_geodesic_path_into_a_missing_directory(self, tmp_path, capsys):
+        f = tmp_path / "t.cplx"
+        run(capsys, "generate", "torus:4,6,4", "--out", str(f))
+        code, out, err = run(capsys, "geodesic", str(f), "--from", "0",
+                             "--out", str(tmp_path / "none" / "p.path"))
         assert code == 64
         assert_refusal(out, err)
 

@@ -9,19 +9,21 @@ from foldcc.folding import coloring_from, find_folding
 from foldcc.generators import (cycle_graph, davis_X, hemispherex,
                                origin_direction, product, torus_grid)
 from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
-                             _loop_at, _path, _probe_loop,
+                             _ends, _loop_at, _node, _path, _probe, _turns,
                              build_all_color_geodesic,
                              build_strict_pi_geodesic, distance_class,
                              is_local_geodesic, rank_one_certificate,
                              serialize_path, sim_v_classes,
                              strict_pi_certificate, transfer)
 
-from helpers import (graph_connector, link_graph_distances,
-                     perpendicular_set, reference_color_component_edges,
-                     reference_cross_pairs, reference_distance_class,
-                     reference_link_adj, reference_loop_path,
-                     reference_probe_loop, reference_sim_v_classes,
-                     reference_strict_pi, relabelled)
+from helpers import (cubes_with_edge, graph_connector, link_graph_distances,
+                     perpendicular_set, reference_all_color_geodesic,
+                     reference_color_component_edges, reference_cross_pairs,
+                     reference_distance_class, reference_link_adj,
+                     reference_loop_path, reference_probe_loop,
+                     reference_sim_v_classes, reference_step_d_search,
+                     reference_strict_pi, reference_strict_pi_geodesic,
+                     relabelled)
 
 SQUARE = load_complex("cubical-complex v1\nvertices 4\ncube 2 0 1 2 3\n")
 
@@ -185,7 +187,8 @@ class TestLocalGeodesic:
         cplx, coloring = x_double_arc.complex, x_double_arc.coloring
         v = 0
         w = next(w for w in cplx.neighbors(v) if coloring.of_pair(v, w) == 1)
-        seg = _probe_loop(cplx, coloring, OrientedEdge(v, w))
+        seg = _path(cplx, _probe(cplx, coloring.colors, _node(cplx, (v, w))),
+                    v, closed=False)
         assert is_local_geodesic(cplx, seg) == (True, None)
         closed = EdgePath(v, seg.steps, True)
         ok, junction = is_local_geodesic(cplx, closed)
@@ -233,7 +236,7 @@ class TestTransfer:
         for u, w in list(cplx.cubes[1])[::97]:
             e = OrientedEdge(u, w)
             D = transfer(cplx, e)
-            for k, i, pos, axis in cplx.cubes_with_edge(u, w):
+            for k, i, pos, axis in cubes_with_edge(cplx, u, w):
                 if k < 3:
                     continue
                 cube = cplx.cubes[k][i]
@@ -334,7 +337,8 @@ class TestConnector:
         # a color component of the flat torus is a circle, so the probe
         # loop can only come back along its first edge
         with pytest.raises(IsCircle, match="graph is a circle"):
-            _probe_loop(torus44.complex, torus44.coloring, OrientedEdge(0, 1))
+            _probe(torus44.complex, torus44.coloring.colors,
+                   _node(torus44.complex, (0, 1)))
 
 
 def _outcome(build):
@@ -372,12 +376,77 @@ class TestAgainstTheEdgeListEngine:
                     assert got == want, (entry.name, v, color)
                 for w in cplx.neighbors(v):
                     e = OrientedEdge(v, w)
-                    got = _outcome(lambda: _probe_loop(cplx, coloring, e))
+                    got = _outcome(lambda: _path(cplx, _probe(
+                        cplx, coloring.colors, _node(cplx, e)), v,
+                        closed=False))
                     want = _outcome(lambda: reference_probe_loop(
                         cplx, edge_list(coloring.of_pair(v, w), v), e))
                     assert got == want, (entry.name, e)
                     checked += 1
         assert checked > 1000
+
+
+class TestOneWalkForm:
+    # the builders that keep every witness a node walk against the ones
+    # that chained EdgePaths: the same path, or the same exception type
+    # and text
+    def test_builders_against_the_chained_paths(self, corpus_all):
+        kinds = set()
+        for entry in corpus_all:
+            cplx, coloring = entry.complex, entry.coloring
+            full = frozenset(range(1, coloring.n + 1))
+            step = -(-cplx.vertex_count // 7)   # at most 7 vertices each
+            for v in range(0, cplx.vertex_count, step):
+                classes = sim_v_classes(cplx, coloring, v).partition
+                for T in set(classes) | {full}:
+                    got = _outcome(lambda: build_all_color_geodesic(
+                        cplx, coloring, v, T))
+                    want = _outcome(lambda: reference_all_color_geodesic(
+                        cplx, coloring, v, T))
+                    assert got == want, (entry.name, v, sorted(T))
+                    kinds.add(("all-colors", type(got)))
+            strict = rank._cross_pairs(cplx, coloring)[1]
+            if strict is not None:
+                got = _outcome(lambda: build_strict_pi_geodesic(
+                    cplx, coloring, *strict))
+                assert got == _outcome(lambda: reference_strict_pi_geodesic(
+                    cplx, coloring, *strict)), entry.name
+                kinds.add(("strict-pi", type(got)))
+            if coloring.n == 3:
+                got = _outcome(lambda: rank._step_d_search(cplx, coloring))
+                assert got == _outcome(lambda: reference_step_d_search(
+                    cplx, coloring)), entry.name
+                kinds.add(("step-d", type(got)))
+        assert {("all-colors", EdgePath), ("all-colors", tuple),
+                ("strict-pi", EdgePath), ("step-d", EdgePath),
+                ("step-d", type(None))} <= kinds
+
+    def test_turns_are_the_junctions_beyond_pi_over_two(self, corpus_all):
+        # the walks' successor rule against the certificate's junction rule
+        bad = (DistanceClass.ZERO, DistanceClass.QUARTER)
+        for entry in corpus_all:
+            cplx = entry.complex
+            edges = cplx.cubes[1] if cplx.dim >= 1 else ()
+            for x in range(2 * len(edges)):
+                u, v = _ends(edges, x)
+                assert _turns(cplx, x) == [
+                    _node(cplx, (v, w)) for w in cplx.neighbors(v)
+                    if distance_class(cplx, v, u, w) not in bad], (entry.name, x)
+
+    def test_one_edge_path_per_witness(self, monkeypatch, x_hemispherex,
+                                       x_double_arc, double_arc_meta):
+        made = []   # one entry per EdgePath constructed
+        init = EdgePath.__post_init__
+        monkeypatch.setattr(EdgePath, "__post_init__",
+                            lambda path: made.append(init(path)))
+        build_all_color_geodesic(x_hemispherex.complex,
+                                 x_hemispherex.coloring, 0, {1, 2, 3})
+        assert len(made) == 1
+        hx, sub = double_arc_meta
+        p1, p2 = (origin_direction(sub, p) for p in hx.pole_vertices)
+        build_strict_pi_geodesic(x_double_arc.complex, x_double_arc.coloring,
+                                 0, p1, p2)
+        assert len(made) == 2
 
 
 class TestCertificate:
@@ -436,8 +505,9 @@ class TestCertificate:
                 probes = []
                 for a in cplx.neighbors(v):
                     try:
-                        probes.append(_probe_loop(cplx, coloring,
-                                                  OrientedEdge(v, a)).steps)
+                        probes.append(_path(cplx, _probe(
+                            cplx, coloring.colors, _node(cplx, (v, a))), v,
+                            closed=False).steps)
                     except FoldccError:
                         continue
                 paths += [EdgePath(v, p + q, True) for p in probes
