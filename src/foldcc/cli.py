@@ -17,7 +17,7 @@ import gc
 import os
 import sys
 
-from . import core, decomposition, generators, geodesic, rank
+from . import core
 from .errors import ConstructionFailed, FoldccError, ParseError
 from .folding import NotFoldable, find_folding, serialize_folding
 
@@ -70,11 +70,13 @@ def cmd_fold(args):
 
 
 def _colored(path):
+    from . import rank
     cplx = _load(path)
     return cplx, rank._prepare(cplx, None, assume_fcc=True)[1]
 
 
 def cmd_decompose(args):
+    from . import decomposition
     cplx, coloring = _colored(args.file)
     gos = decomposition.graph_of_spaces(cplx, coloring, args.color)
     report = core.render_report("graph-of-spaces v1", gos.to_kv())
@@ -102,6 +104,7 @@ def cmd_decompose(args):
 
 
 def cmd_hyperplanes(args):
+    from . import decomposition
     cplx, coloring = _colored(args.file)
     comps = decomposition.hyperplanes(cplx, coloring, args.color)
     pairs = [("color", args.color), ("components", len(comps))]
@@ -117,6 +120,7 @@ def cmd_hyperplanes(args):
 
 
 def cmd_rank(args):
+    from . import geodesic, rank
     cplx = _load(args.file)
     mode = args.mode or ("--dim3" if cplx.dim == 3 else "--general")
     if mode == "--dim3":
@@ -130,6 +134,7 @@ def cmd_rank(args):
 
 
 def cmd_geodesic(args):
+    from . import geodesic
     cplx, coloring = _colored(args.file)
     v = args.from_vertex
     simv = geodesic.sim_v_classes(cplx, coloring, v)
@@ -153,6 +158,7 @@ def cmd_geodesic(args):
 
 
 def _parse_generate_spec(spec, args):
+    from . import generators
     kind, _, rest = spec.partition(":")
     if kind == "torus":
         dims = tuple(int(x) for x in rest.split(","))
@@ -173,9 +179,10 @@ def _parse_generate_spec(spec, args):
         if not rest.startswith("K="):
             raise ParseError("davisX needs K=<path>")
         K = core.load_simplicial(_read(rest[2:]))
-        sub = generators.davis_X(K)
-        sub.complex.provenance = spec
-        return core.serialize_complex(sub.complex)
+        # davis_X(K) without X's face closure: the tops are X's maximal cubes
+        Y = generators.davis_Y(K)
+        _, carrier_of, tops = generators.subdivision_tops(Y)
+        return core.serialize_maximal_cubes(len(carrier_of), tops, spec)
     if kind == "product":
         p1, _, p2 = rest.partition(",")
         cplx = generators.product(core.load_complex(_read(p1)),

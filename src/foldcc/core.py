@@ -90,17 +90,13 @@ def _face_pickers(k):
             for axis in range(k) for side in (0, 1)]
 
 
-def _face_closure(vertex_count, maximal):
-    """Face closure of a list of corner tuples.
-
-    Returns the cubes by dim (each level sorted, level 0 all vertices) and
-    the face table of CubicalComplex.  Cubes are keyed by canonical tuple
-    and every side-1 face occurrence of dimension >= 1 is canonicalized; a
-    level with two cubes on one sorted corner tuple is refused.
-    """
-    levels = {}   # dim -> {canonical cube: position in order of discovery}
-    facets = {}   # dim -> positions in levels[dim-1] of each cube's faces
-    listed = {}   # sorted corners -> listed cube, for the first pass only
+def _listed_cubes(vertex_count, maximal):
+    """The listed corner tuples in canonical form, by dim: {k: {cube:
+    position in order of discovery}}.  A cube listed twice is kept once;
+    a bad corner count, a repeated or out-of-range corner, or two cubes
+    on one vertex set is refused."""
+    levels = {}
+    listed = {}   # sorted corners -> listed cube
     for corners in maximal:
         k = (len(corners) - 1).bit_length()
         if len(corners) != 1 << k:
@@ -117,7 +113,19 @@ def _face_closure(vertex_count, maximal):
                               detail=(other, cube))
         level = levels.setdefault(k, {})
         level.setdefault(cube, len(level))
-    del listed
+    return levels
+
+
+def _face_closure(vertex_count, maximal):
+    """Face closure of a list of corner tuples.
+
+    Returns the cubes by dim (each level sorted, level 0 all vertices) and
+    the face table of CubicalComplex.  Cubes are keyed by canonical tuple
+    and every side-1 face occurrence of dimension >= 1 is canonicalized; a
+    level with two cubes on one sorted corner tuple is refused.
+    """
+    levels = _listed_cubes(vertex_count, maximal)
+    facets = {}   # dim -> positions in levels[dim-1] of each cube's faces
     top = max(levels) if levels else 0
     # faces only go down, so level k is complete once level k+1 is done
     # a side-0 face keeps the least corner and its neighbours in increasing
@@ -980,17 +988,32 @@ def load_complex(text):
         vertex_count, maximal, check_intersections=True, provenance=provenance)
 
 
+def _cubical_text(vertex_count, cubes, provenance):
+    # the file lists `cubes` in the order given
+    lines = ["cubical-complex v1"]
+    if provenance:
+        lines.append("# spec: %s" % provenance)
+    lines.append("vertices %d" % vertex_count)
+    for cube in cubes:
+        lines.append("cube %d %s" % ((len(cube) - 1).bit_length(),
+                                     " ".join(map(str, cube))))
+    return "\n".join(lines) + "\n"
+
+
 def serialize_complex(cplx):
     """Canonical text form: maximal cubes only, sorted by (dim, corners)."""
-    lines = ["cubical-complex v1"]
-    if cplx.provenance:
-        lines.append("# spec: %s" % cplx.provenance)
-    lines.append("vertices %d" % cplx.vertex_count)
-    maximal = sorted(cplx.maximal_cubes())
-    for k, i in maximal:
-        cube = cplx.cubes[k][i]
-        lines.append("cube %d %s" % (k, " ".join(str(v) for v in cube)))
-    return "\n".join(lines) + "\n"
+    maximal = [cplx.cubes[k][i] for k, i in sorted(cplx.maximal_cubes())]
+    return _cubical_text(cplx.vertex_count, maximal, cplx.provenance)
+
+
+def serialize_maximal_cubes(vertex_count, maximal, provenance=None):
+    """serialize_complex of the complex whose maximal cubes are `maximal`,
+    without its face closure.  The caller vouches that no listed cube is
+    a face of another and that every vertex lies in one; each listed cube
+    is checked as from_maximal_cubes checks it."""
+    levels = _listed_cubes(vertex_count, maximal)
+    cubes = [c for k in sorted(levels) for c in sorted(levels[k])]
+    return _cubical_text(vertex_count, cubes, provenance)
 
 
 def load_simplicial(text):

@@ -6,7 +6,9 @@ products are cubical.  All constructors are pure and deterministic.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .core import CubicalComplex, SimplicialComplex
 from .errors import BadDimension, BadDims, BadSpec, TooLarge
@@ -148,11 +150,32 @@ class Subdivision:
     carrier_of: tuple
 
 
-def subdivide_half(Y):
-    """Subdivide every k-cube into 2^k by halving each coordinate.
+@lru_cache(maxsize=None)
+def _subcube_plan(k):
+    # getters of the 3^k faces of a k-cube, face t fixing axis j at side
+    # t // 3^j % 3 (2: free), and per corner p the picker of the faces whose
+    # centers are the corners of the subcube at p
+    faces = []
+    for t in range(3 ** k):
+        digits = [t // 3 ** j % 3 for j in range(k)]
+        at = [q for q in range(1 << k) if all(
+            d == 2 or (q >> j) & 1 == d for j, d in enumerate(digits))]
+        faces.append(operator.itemgetter(*at) if len(at) > 1
+                     else operator.itemgetter(slice(at[0], at[0] + 1)))
+    pickers = [operator.itemgetter(
+                   *[sum(3 ** j * (2 if (sub >> j) & 1 else (p >> j) & 1)
+                         for j in range(k)) for sub in range(1 << k)])
+               for p in range(1 << k)]
+    return faces, pickers
 
-    The cubes of the subdivision correspond to pairs A <= B of faces of Y;
-    the corners of the pair-cube are the centers of the intermediate faces.
+
+def subdivision_tops(Y):
+    """(vertex_for, carrier_of, tops) of the half subdivision of Y.
+
+    The tops are the subcubes of the maximal cubes of Y, one per corner
+    p of a maximal k-cube B: its corner sub is the center of B's face
+    through p along the axes of sub.  Each is maximal in the subdivision,
+    since a subcube of B lies only in subcubes of B.
     """
     vertex_for = {}
     carrier_of = []
@@ -161,21 +184,28 @@ def subdivide_half(Y):
         for i, cube in enumerate(level):
             vertex_for[(k, i)] = center[tuple(sorted(cube))] = len(carrier_of)
             carrier_of.append((k, i))
-    maximal = []
+    tops = []
     for k, i in Y.maximal_cubes():
-        cube = Y.cubes[k][i]
         if k == 0:
-            maximal.append((vertex_for[(0, i)],))
+            tops.append((vertex_for[(0, i)],))
             continue
-        for p in range(1 << k):
-            corners = []
-            for sub in range(1 << k):
-                face = [cube[q] for q in range(1 << k) if q & ~sub == p & ~sub]
-                corners.append(center[tuple(sorted(face))])
-            maximal.append(tuple(corners))
+        cube = Y.cubes[k][i]
+        faces, pickers = _subcube_plan(k)
+        centers = [center[tuple(sorted(face(cube)))] for face in faces]
+        tops += [pick(centers) for pick in pickers]
+    return vertex_for, tuple(carrier_of), tops
+
+
+def subdivide_half(Y):
+    """Subdivide every k-cube into 2^k by halving each coordinate.
+
+    The cubes of the subdivision correspond to pairs A <= B of faces of Y;
+    the corners of the pair-cube are the centers of the intermediate faces.
+    """
+    vertex_for, carrier_of, tops = subdivision_tops(Y)
     X = CubicalComplex.from_maximal_cubes(
-        len(carrier_of), maximal, check_intersections=False)
-    return Subdivision(X, Y, vertex_for, tuple(carrier_of))
+        len(carrier_of), tops, check_intersections=False)
+    return Subdivision(X, Y, vertex_for, carrier_of)
 
 
 def davis_X(K, max_generators=16):

@@ -9,14 +9,14 @@ import itertools
 from collections import deque
 
 from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
-                         _corner_picker, _face_pickers, canonical_cube,
-                         canonical_frame, is_flag, link)
+                         SimplicialComplex, _corner_picker, _face_pickers,
+                         canonical_cube, canonical_frame, is_flag, link)
 from foldcc.errors import (ConstructionFailed, IsCircle, NotAComplex,
                            NotClosed, NotConnected, NotSingleClass,
                            PreconditionFailed)
 from foldcc.decomposition import (CoveringReport, HyperplaneComponent,
                                   Subcomplex)
-from foldcc.generators import Subdivision
+from foldcc.generators import Subdivision, hemispherex, standard_sphere
 from foldcc.geodesic import (DistanceClass, EdgePath, OrientedEdge,
                              SimVClasses, _connector, _is_circle, _loop_at,
                              _node, _path, distance_class, is_local_geodesic,
@@ -363,6 +363,22 @@ def reference_is_covering(g):
 
 # The half subdivision as it was built when every complex kept a map from
 # each cube's vertex set to its (dim, index): the lookups go through that map.
+
+def davis_inputs():
+    """Small K for X(K): the octahedron, the double arc, the hexagon joined
+    with S^0, a non-pure K with an isolated vertex (X has maximal cubes of
+    dimensions 1, 2 and 3) and the empty K (X is one vertex)."""
+    return {
+        "octahedron": standard_sphere(2),
+        "double arc": hemispherex(1, (1, 1), allow_dim1=True).complex,
+        "hexagon join": SimplicialComplex.from_maximal(
+            8, [tuple(sorted((i, (i + 1) % 6, a)))
+                for i in range(6) for a in (6, 7)]),
+        "non-pure": SimplicialComplex.from_maximal(
+            6, [(0, 1, 2), (3, 4), (5,)]),
+        "empty": SimplicialComplex.from_maximal(0, []),
+    }
+
 
 def reference_subdivide_half(Y):
     by_vset = vertex_set_map(Y)

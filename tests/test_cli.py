@@ -5,13 +5,14 @@ import tracemalloc
 
 import pytest
 
-from foldcc import cli, folding
+from foldcc import cli, core, folding, generators
 from foldcc.cli import main
-from foldcc.core import CubicalComplex, load_complex, serialize_complex
+from foldcc.core import (CubicalComplex, load_complex, serialize_complex,
+                         serialize_simplicial)
 from foldcc.errors import ConstructionFailed
-from foldcc.generators import torus_grid
+from foldcc.generators import davis_X, torus_grid
 
-from helpers import assert_parity_witness, relabelled
+from helpers import assert_parity_witness, davis_inputs, relabelled
 
 
 def run(capsys, *argv):
@@ -90,7 +91,7 @@ class TestGenerate:
         def no_sphere(n):
             raise AssertionError("built a sphere")
 
-        monkeypatch.setattr(cli.generators, "standard_sphere", no_sphere)
+        monkeypatch.setattr(generators, "standard_sphere", no_sphere)
         tracemalloc.start()
         try:
             code, out, err = run(capsys, "generate", "hemispherex:n=%d,m=%s"
@@ -116,6 +117,48 @@ class TestGenerate:
                            "--allow-dim1")
         assert code == 0
         assert "simplicial-complex v1" in out
+
+
+class TestGenerateDavisX:
+    # the file lists the subdivision's top cubes; X's closure is not built
+
+    @pytest.mark.parametrize("name", sorted(davis_inputs()))
+    def test_file_is_the_serialized_closure(self, tmp_path, capsys, name):
+        K = davis_inputs()[name]
+        path = tmp_path / "K.scx"
+        path.write_text(serialize_simplicial(K))
+        spec = "davisX:K=%s" % path
+        code, out, err = run(capsys, "generate", spec)
+        assert (code, err) == (0, "")
+        X = davis_X(K).complex
+        X.provenance = spec
+        assert out == serialize_complex(X)
+        if name == "empty":
+            assert out.endswith("vertices 1\ncube 0 0\n")
+
+    def test_builds_one_face_closure(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "K.scx"
+        path.write_text(serialize_simplicial(davis_inputs()["octahedron"]))
+        closed = []
+        real = core._face_closure
+
+        def counted(vertex_count, maximal):
+            closed.append(vertex_count)
+            return real(vertex_count, maximal)
+
+        monkeypatch.setattr(core, "_face_closure", counted)
+        code, _, _ = run(capsys, "generate", "davisX:K=%s" % path)
+        assert code == 0
+        assert closed == [1 << 6]   # Y's, on the 2^S corners of the cube
+
+    def test_cap_runs_first(self, tmp_path, capsys):
+        path = tmp_path / "K.scx"
+        path.write_text("simplicial-complex v1\nvertices 17\n"
+                        "simplex 1 0 1\nsimplex 0 16\n")
+        code, out, err = run(capsys, "generate", "davisX:K=%s" % path)
+        assert code == 65
+        assert_refusal(out, err)
+        assert err.startswith("error: TooLarge: ")
 
 
 class TestValidate:

@@ -10,7 +10,7 @@ from foldcc.generators import (cycle_graph, davis_X, davis_Y, equator_vertices,
                                simplicial_graph_to_cubical, standard_sphere,
                                subdivide_half, torus_grid)
 
-from helpers import (assert_same_complex, davis_face_count,
+from helpers import (assert_same_complex, davis_face_count, davis_inputs,
                      reference_origin_direction, reference_subdivide_half)
 
 
@@ -157,13 +157,7 @@ class TestSubdivision:
             assert w in X.neighbors(0)
 
     def test_matches_the_vertex_set_reference(self):
-        # the octahedron, the double arc, and the hexagon joined with S^0
-        hexagon_join = SimplicialComplex.from_maximal(
-            8, [tuple(sorted((i, (i + 1) % 6, a)))
-                for i in range(6) for a in (6, 7)])
-        for K in (standard_sphere(2),
-                  hemispherex(1, (1, 1), allow_dim1=True).complex,
-                  hexagon_join):
+        for K in davis_inputs().values():
             Y = davis_Y(K)
             got, want = subdivide_half(Y), reference_subdivide_half(Y)
             assert_same_complex(got.complex, want.complex)
