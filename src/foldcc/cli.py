@@ -19,7 +19,7 @@ import sys
 
 from . import core
 from .errors import ConstructionFailed, FoldccError, ParseError
-from .folding import NotFoldable, find_folding, serialize_folding
+from .folding import NotFoldable, _prepare, find_folding, serialize_folding
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -70,9 +70,8 @@ def cmd_fold(args):
 
 
 def _colored(path):
-    from . import rank
     cplx = _load(path)
-    return cplx, rank._prepare(cplx, None, assume_fcc=True)[1]
+    return cplx, _prepare(cplx, None, assume_fcc=True)[1]
 
 
 def cmd_decompose(args):

@@ -92,9 +92,9 @@ def _face_pickers(k):
 
 def _listed_cubes(vertex_count, maximal):
     """The listed corner tuples in canonical form, by dim: {k: {cube:
-    position in order of discovery}}.  A cube listed twice is kept once;
-    a bad corner count, a repeated or out-of-range corner, or two cubes
-    on one vertex set is refused."""
+    cube}}, so a face equal to a listed cube is placed as that tuple.  A
+    cube listed twice is kept once; a bad corner count, a repeated or
+    out-of-range corner, or two cubes on one vertex set is refused."""
     levels = {}
     listed = {}   # sorted corners -> listed cube
     for corners in maximal:
@@ -111,50 +111,48 @@ def _listed_cubes(vertex_count, maximal):
         if other != cube:
             raise NotAComplex("two distinct cubes on the same vertex set",
                               detail=(other, cube))
-        level = levels.setdefault(k, {})
-        level.setdefault(cube, len(level))
+        levels.setdefault(k, {}).setdefault(cube, cube)
     return levels
 
 
 def _face_closure(vertex_count, maximal):
-    """Face closure of a list of corner tuples.
+    """Face closure of a list of corner tuples, from the top level down.
 
     Returns the cubes by dim (each level sorted, level 0 all vertices) and
-    the face table of CubicalComplex.  Cubes are keyed by canonical tuple
-    and every side-1 face occurrence of dimension >= 1 is canonicalized; a
-    level with two cubes on one sorted corner tuple is refused.
+    the face table of CubicalComplex.  Level k is sorted once level k+1 has
+    placed its faces, each as the one stored copy of its tuple.  Two cubes
+    on one vertex set are refused; they can meet only at 2 <= k < top, as
+    an edge is its sorted pair and every top cube is listed.
     """
     levels = _listed_cubes(vertex_count, maximal)
-    facets = {}   # dim -> positions in levels[dim-1] of each cube's faces
-    top = max(levels) if levels else 0
-    # faces only go down, so level k is complete once level k+1 is done
+    top = max(levels, default=0)
+    cubes_by_dim = [tuple((v,) for v in range(vertex_count))] + [()] * top
+    face_table = [[] for _ in range(top + 1)]
     # a side-0 face keeps the least corner and its neighbours in increasing
     # order, so it is canonical already; only side-1 faces are reordered
     for k in range(top, 0, -1):
+        index = levels.pop(k)
+        level = cubes_by_dim[k] = tuple(sorted(index))
+        if k < top:
+            index.update(zip(level, range(len(level))))
+            face_table[k + 1] = list(map(index.__getitem__, faces))
+        del index
+        if 2 <= k < top:
+            if len(set(map(tuple, map(sorted, level)))) < len(level):
+                raise NotAComplex("two distinct cubes on the same vertex set")
+        if k == 1:
+            face_table[1] = list(itertools.chain.from_iterable(level))
+            break
         pickers = _face_pickers(k)
         sides = list(zip(pickers[::2], pickers[1::2]))
-        canon = canonical_cube if k > 1 else tuple
-        below = levels.setdefault(k - 1, {})
-        place = below.setdefault
-        row = facets[k] = []
-        for cube in levels[k]:
+        place = levels.setdefault(k - 1, {}).setdefault
+        faces = []
+        for cube in level:
             for side0, side1 in sides:
-                row.append(place(side0(cube), len(below)))
-                row.append(place(canon(side1(cube)), len(below)))
-
-    cubes_by_dim = [tuple((v,) for v in range(vertex_count))]
-    face_table = [[]]
-    ranks = [[v for (v,) in levels.pop(0, ())]]   # position -> index
-    for k in range(1, top + 1):
-        level = list(levels.pop(k))
-        order = sorted(range(len(level)), key=level.__getitem__)
-        cubes_by_dim.append(tuple(level[j] for j in order))
-        below, flat, w = ranks[-1], facets.pop(k), 2 * k
-        face_table.append([below[p] for j in order
-                           for p in flat[w * j:w * j + w]])
-        ranks.append(sorted(range(len(level)), key=order.__getitem__))
-        if len(set(map(tuple, map(sorted, level)))) < len(level):
-            raise NotAComplex("two distinct cubes on the same vertex set")
+                face = side0(cube)
+                faces.append(place(face, face))
+                face = canonical_cube(side1(cube))
+                faces.append(place(face, face))
     return tuple(cubes_by_dim), face_table
 
 
@@ -462,7 +460,8 @@ class CubicalComplex:
         return ds.groups()
 
     def is_connected(self):
-        return len(self.vertex_components()) <= 1
+        return DisjointSet(self.vertex_count).labels(
+            self.cubes[1] if len(self.cubes) > 1 else ())[1] <= 1
 
     def __eq__(self, other):
         return (isinstance(other, CubicalComplex)
@@ -583,13 +582,9 @@ class SimplicialComplex:
             for r in range(1, len(t) + 1):
                 for sub in itertools.combinations(t, r):
                     levels.setdefault(r - 1, set()).add(sub)
-        top = max(levels) if levels else 0
-        out = []
-        for k in range(top + 1):
-            if k == 0:
-                out.append(tuple((v,) for v in range(vertex_count)))
-            else:
-                out.append(tuple(sorted(levels.get(k, ()))))
+        out = [tuple((v,) for v in range(vertex_count))]
+        out += [tuple(sorted(levels[k]))
+                for k in range(1, max(levels, default=0) + 1)]
         return cls(vertex_count, tuple(out))
 
     @property
@@ -976,12 +971,16 @@ def load_complex(text):
     vertex_count, cells, provenance = _parse_cell_file(
         text, "cubical-complex", "cube")
     maximal = []
+    # one int per vertex id; a corner out of range is left for the closure
+    ids = list(range(vertex_count))
     for k, verts in cells:
         # no line holds 2^64 corners; a larger k must not build 1 << k
         if k >= 64 or len(verts) != 1 << k:
             need = 1 << k if k < 64 else "2^%d" % k
             raise ParseError("cube of dimension %d needs %s corners, got %d"
                              % (k, need, len(verts)))
+        if 0 <= min(verts) and max(verts) < vertex_count:
+            verts = map(ids.__getitem__, verts)
         maximal.append(tuple(verts))
     del cells   # no parse error is left to raise; free before the closure
     return CubicalComplex.from_maximal_cubes(

@@ -19,8 +19,8 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import DisjointSet, spanning_forest_labels
-from .errors import ConstructionFailed, NotHomogeneous
+from .core import DisjointSet, spanning_forest_labels, validate_fcc
+from .errors import ConstructionFailed, NotFCC, NotHomogeneous
 
 
 @dataclass(frozen=True)
@@ -548,6 +548,18 @@ def coloring_from(folding):
     colors = tuple(folding.direction_of[folding.classes.class_of[e]]
                    for e in range(cplx.n_cubes(1)))
     return EdgeColoring(cplx, folding.n, colors)
+
+
+def _prepare(cplx, folding, assume_fcc):
+    if folding is None:
+        folding = find_folding(cplx)
+    if isinstance(folding, NotFoldable):
+        raise NotFCC("complex is not foldable")
+    if not assume_fcc:
+        report = validate_fcc(cplx, folding=folding)
+        if not report.is_fcc:
+            raise NotFCC("validate_fcc fails: %r" % report)
+    return folding, coloring_from(folding)
 
 
 def fold_simplicial(K):

@@ -30,10 +30,9 @@ import itertools
 from dataclasses import dataclass
 
 from . import geodesic as geo
-from .core import DisjointSet, render_report, validate_fcc
-from .decomposition import graph_of_spaces, is_covering
-from .errors import ConstructionFailed, NotDim3, NotFCC
-from .folding import NotFoldable, coloring_from, find_folding
+from .core import DisjointSet, render_report
+from .errors import ConstructionFailed, NotDim3
+from .folding import _prepare
 from .geodesic import OrientedEdge
 
 
@@ -213,6 +212,7 @@ def _simv_census(cplx, coloring):
 
 
 def _covering_table(cplx, coloring):
+    from .decomposition import graph_of_spaces, is_covering
     table = {}
     for color in range(1, coloring.n + 1):
         gos = graph_of_spaces(cplx, coloring, color)
@@ -225,18 +225,6 @@ def _covering_table(cplx, coloring):
                     bad += 1
         table[color] = (maps, bad)
     return table
-
-
-def _prepare(cplx, folding, assume_fcc):
-    if folding is None:
-        folding = find_folding(cplx)
-    if isinstance(folding, NotFoldable):
-        raise NotFCC("complex is not foldable")
-    if not assume_fcc:
-        report = validate_fcc(cplx, folding=folding)
-        if not report.is_fcc:
-            raise NotFCC("validate_fcc fails: %r" % report)
-    return folding, coloring_from(folding)
 
 
 def detect_rank3(cplx, folding=None, assume_fcc=False, diagnostics=False):

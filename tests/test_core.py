@@ -93,8 +93,24 @@ class TestLoading:
                 load_complex(text)
 
     def test_out_of_range_corner(self):
-        with pytest.raises(NotAComplex):
-            load_complex("cubical-complex v1\nvertices 2\ncube 1 0 5\n")
+        # a bare lookup in the shared vertex ids would turn -1 into the
+        # last vertex
+        for corner in (5, 2, -1):
+            with pytest.raises(NotAComplex, match="^corner %d out of range$"
+                               % corner):
+                load_complex("cubical-complex v1\nvertices 2\n"
+                             "cube 1 0 %d\n" % corner)
+
+    def test_corners_share_one_int_per_vertex(self):
+        # ints above 256 are not shared by the parser; the loader maps
+        # every corner onto one object per vertex id
+        cplx = load_complex(serialize_complex(torus_grid((8, 8, 8))))
+        seen = {}
+        for level in cplx.cubes[1:]:
+            for cube in level:
+                for v in cube:
+                    assert seen.setdefault(v, v) is v
+        assert len(seen) == 512
 
     def test_loading_is_deterministic(self):
         text = serialize_complex(torus_grid((4, 4)))
@@ -663,6 +679,18 @@ class TestAgainstTheReferences:
             assert cplx.cell_counts() == base.cell_counts()
             assert same_flag_witness(cplx) is None
 
+    def test_relabelled_four_torus(self):
+        # the soups stop at dimension 3; here side-1 faces are 3-cubes,
+        # which canonical_cube reorders by its general branch
+        rng = random.Random(12)
+        base = torus_grid((4, 4, 4, 4))
+        perm = rng.sample(range(base.vertex_count), base.vertex_count)
+        cubes = [shuffled_corners(tuple(perm[v] for v in base.cubes[k][i]),
+                                  rng) for k, i in base.maximal_cubes()]
+        rng.shuffle(cubes)
+        cplx = same_closure(base.vertex_count, cubes)
+        assert cplx.cell_counts() == base.cell_counts()
+
     def test_torus_minus_a_top_cube(self):
         rng = random.Random(10)
         base = torus_grid((6, 6, 6))
@@ -705,6 +733,11 @@ class TestAgainstTheReferences:
         (12, [tuple(range(8)), (0, 1, 3, 2, 8, 9, 10, 11)],
          "two distinct cubes on the same vertex set"),
         (4, [()], "cube with 0 corners"),
+        # two 4-cubes whose faces on {0, ..., 7} differ, while no two of
+        # their squares share a vertex set: only level 3 clashes
+        (24, [tuple(range(16)),
+              (0, 1, 2, 4, 3, 5, 6, 7) + tuple(range(16, 24))],
+         "two distinct cubes on the same vertex set"),
     ])
     def test_hostile_inputs(self, n, cubes, text):
         with pytest.raises(NotAComplex, match="^%s$" % text):
