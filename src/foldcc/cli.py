@@ -71,7 +71,7 @@ def cmd_fold(args):
 
 def _colored(path):
     cplx = _load(path)
-    return cplx, _prepare(cplx, None, assume_fcc=True)[1]
+    return cplx, _prepare(cplx, None, assume_fcc=True)
 
 
 def cmd_decompose(args):
@@ -207,13 +207,14 @@ def cmd_generate(args):
 
 def cmd_info(args):
     cplx = _load(args.file)
+    components = len(cplx.vertex_components())
     pairs = [
         ("vertices", cplx.vertex_count),
         ("dimension", cplx.dim),
         ("cells", cplx.cell_counts()),
         ("euler_characteristic", cplx.euler_characteristic()),
-        ("connected", cplx.is_connected()),
-        ("components", len(cplx.vertex_components())),
+        ("connected", components <= 1),
+        ("components", components),
         ("maximal_cubes", len(cplx.maximal_cubes())),
     ]
     if cplx.provenance:

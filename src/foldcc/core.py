@@ -568,6 +568,7 @@ class SimplicialComplex:
         for level in self.simplices:
             self._members.update(level)
         self._adj = None
+        self.provenance = None
 
     @classmethod
     def from_maximal(cls, vertex_count, maximal):
@@ -907,7 +908,7 @@ def render_report(header, pairs):
 MAX_VERTICES = 1 << 20
 
 # Largest `simplex K` a file may hold: loading lists all 2^(K+1) faces, so
-# a short line would exhaust memory.  davis_X takes 16 generators by default.
+# a short line would exhaust memory.  generators.MAX_GENERATORS is also 16.
 MAX_SIMPLEX_DIM = 16
 
 
@@ -1034,7 +1035,7 @@ def load_simplicial(text):
 
 def serialize_simplicial(K):
     lines = ["simplicial-complex v1"]
-    if getattr(K, "provenance", None):
+    if K.provenance:
         lines.append("# spec: %s" % K.provenance)
     lines.append("vertices %d" % K.vertex_count)
     for s in K.maximal_simplices():

@@ -11,16 +11,16 @@ Fixing a color i, the components of X_{T_i} (T_i omitting i) are the
 vertex spaces, the components of H_i the edge spaces, and each edge space
 attaches to the one or two vertex spaces its product neighborhood touches;
 the attaching maps send a midcube to the matching side face of its carrier
-cube.  Sides are labelled by the direction-i parity of the folding (side b
-holds the endpoints with parity b), so loops and multi-edges in the base
-graph are kept apart.
+cube.  Both come off the coloring's folding: an edge space is one
+direction-i parallel class (a chain of squares from a color-i edge never
+leaves its class), and side b holds the endpoints whose corner has bit
+i-1 equal to b, so loops and multi-edges in the base graph stay apart.
 """
 
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import (ComponentPiece, CubicalComplex, DisjointSet, _split,
-                   spanning_forest_labels)
+from .core import ComponentPiece, CubicalComplex, DisjointSet, _split
 from .errors import BadColorSet, NotFCC
 
 
@@ -73,24 +73,20 @@ def hyperplanes(cplx, coloring, color):
     midcube's faces: the side-0 ones start at the least edge (at corner
     0) and, in decreasing order, lie along the canonical axes 0, 1, ...
     Every corner with a zero bit lies in one of them, the far corner in
-    the side-1 face along axis 0, opposite corner 1.  A component numbers
-    its edges in increasing order, which keeps canonical orders canonical.
+    the side-1 face along axis 0, opposite corner 1.  Component j is the
+    j-th parallel class of direction `color`, its edges numbered in
+    increasing order, which keeps canonical orders canonical.
     """
     if not 1 <= color <= coloring.n:
         raise BadColorSet("color %d outside 1..%d" % (color, coloring.n))
-    colored = coloring.edges_of_color(color)
-    at = dict(zip(colored, range(len(colored))))
-    row = cplx._faces[2] if cplx.dim >= 2 else ()
-    squares = [(i, at[row[4 * i + 2 - 2 * axis]],
-                at[row[4 * i + 3 - 2 * axis]])
-               for i, axis in enumerate(_color_axes(cplx, coloring, color, 2)
-                                        if row else ()) if axis >= 0]
-    comp, count = DisjointSet(len(colored)).labels(
-        [(p, q) for _, p, q in squares])
-    verts, local = [[] for _ in range(count)], []
-    for e, c in zip(colored, comp):
-        local.append(len(verts[c]))
-        verts[c].append(e)
+    class_of = coloring.folding.classes.class_of
+    number = {c: j for j, c in enumerate(
+        c for c, d in enumerate(coloring.folding.direction_of) if d == color)}
+    verts, local = [[] for _ in number], {}
+    for e in coloring.edges_of_color(color):
+        edges = verts[number[class_of[e]]]
+        local[e] = len(edges)
+        edges.append(e)
     # per midcube dimension: carriers by component in increasing order of
     # their midcubes (in local ids), and the face entries of each
     levels = []
@@ -98,9 +94,12 @@ def hyperplanes(cplx, coloring, color):
         n = cplx.n_cubes(k)
         mids, comp_of, faces = [None] * n, [0] * n, [None] * n
         if k == 2:
-            for i, p, q in squares:
-                mids[i] = faces[i] = (local[p], local[q])
-                comp_of[i] = comp[p]
+            row = cplx._faces[2]
+            for i, axis in enumerate(_color_axes(cplx, coloring, color, 2)):
+                if axis >= 0:
+                    p, q = row[4 * i + 2 - 2 * axis], row[4 * i + 3 - 2 * axis]
+                    mids[i] = faces[i] = (local[p], local[q])
+                    comp_of[i] = number[class_of[p]]
         else:
             row, w, half = cplx._faces[k], 2 * k, 1 << (k - 2)
             # (t, p) for each position q from half up to the far corner: t
@@ -123,7 +122,7 @@ def hyperplanes(cplx, coloring, color):
                 comp_of[i] = below_comp[row[zero[0]]]
                 faces[i] = [below_pos[row[f + s]] for f in zero
                             for s in (0, 1)]
-        buckets, pos = [[] for _ in range(count)], [0] * n
+        buckets, pos = [[] for _ in verts], [0] * n
         for i, mid in enumerate(mids):
             if mid is not None:
                 buckets[comp_of[i]].append(i)
@@ -150,19 +149,15 @@ def hyperplanes(cplx, coloring, color):
 
 
 def direction_parity(cplx, coloring, color):
-    """The 0/1 vertex labelling flipped exactly by color-`color` edges.
-
-    Exists precisely because the coloring is folding-induced; NotFCC is
-    raised when the parity is inconsistent.
-    """
-    edges = cplx.cubes[1]
-    flips = [1 if c == color else 0 for c in coloring.colors]
-    parity, off_tree = spanning_forest_labels(cplx, flips)
-    for e in off_tree:
-        u, w = edges[e]
-        if parity[u] ^ parity[w] != flips[e]:
-            raise NotFCC("coloring is not folding-induced "
-                         "(direction %d parity inconsistent)" % color)
+    """Bit color-1 of the folding's vertex corners: the 0/1 labelling
+    flipped exactly by color-`color` edges.  NotFCC is raised when an
+    edge's color does not fit it, i.e. the colors are not the folding's."""
+    bit = color - 1
+    parity = [x >> bit & 1 for x in coloring.folding.vertex_corner]
+    if any(parity[u] ^ parity[w] != (c == color)
+           for (u, w), c in zip(cplx.cubes[1], coloring.colors)):
+        raise NotFCC("coloring is not folding-induced "
+                     "(direction %d parity inconsistent)" % color)
     return parity
 
 

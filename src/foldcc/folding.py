@@ -516,12 +516,16 @@ def verify_folding(cplx, folding):
 
 
 class EdgeColoring:
-    """Edge colors 1..n induced by a folding: color = class direction."""
+    """Edge colors 1..n of a folding: an edge's color is its class's
+    direction.  Built only from the Folding, kept as `.folding`, whose
+    corners and classes give side parities and hyperplanes directly."""
 
-    def __init__(self, cplx, n, colors):
-        self.complex = cplx
-        self.n = n
-        self.colors = colors
+    def __init__(self, folding):
+        self.folding = folding
+        self.complex = folding.complex
+        self.n = folding.n
+        self.colors = tuple(map(folding.direction_of.__getitem__,
+                                folding.classes.class_of))
 
     def of_edge(self, e):
         return self.colors[e]
@@ -544,10 +548,7 @@ class EdgeColoring:
 
 def coloring_from(folding):
     """The color partition E = E_1 u ... u E_n of the folded complex."""
-    cplx = folding.complex
-    colors = tuple(folding.direction_of[folding.classes.class_of[e]]
-                   for e in range(cplx.n_cubes(1)))
-    return EdgeColoring(cplx, folding.n, colors)
+    return EdgeColoring(folding)
 
 
 def _prepare(cplx, folding, assume_fcc):
@@ -559,7 +560,7 @@ def _prepare(cplx, folding, assume_fcc):
         report = validate_fcc(cplx, folding=folding)
         if not report.is_fcc:
             raise NotFCC("validate_fcc fails: %r" % report)
-    return folding, coloring_from(folding)
+    return EdgeColoring(folding)
 
 
 def fold_simplicial(K):

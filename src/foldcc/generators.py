@@ -17,6 +17,8 @@ from .errors import BadDimension, BadDims, BadSpec, TooLarge
 # faces each: n = 8 with 16 hemispheres takes about 1.4 s on a 2-vCPU VM
 MAX_HEMISPHEREX_N = 8
 MAX_HEMISPHERES = 16
+# davis_Y(K) has 2^|K's vertices| vertices
+MAX_GENERATORS = 16
 
 
 def standard_sphere(n):
@@ -103,7 +105,7 @@ def hemispherex(n, multiplicities, allow_dim1=False):
     return Hemispherex(K, n, multiplicities, tuple(poles))
 
 
-def davis_Y(K, max_generators=16):
+def davis_Y(K):
     """Subcomplex of the |S|-cube spanned by the faces whose direction sets
     are simplices of K; every vertex link is isomorphic to K.
 
@@ -111,9 +113,9 @@ def davis_Y(K, max_generators=16):
     bitstring (coordinate s = bit s).
     """
     S = K.vertex_count
-    if S > max_generators:
+    if S > MAX_GENERATORS:
         raise TooLarge("2^%d vertices exceeds the cap (max_generators=%d)"
-                       % (S, max_generators))
+                       % (S, MAX_GENERATORS))
     maximal = []
     for T in K.maximal_simplices():
         mask = 0
@@ -208,14 +210,14 @@ def subdivide_half(Y):
     return Subdivision(X, Y, vertex_for, carrier_of)
 
 
-def davis_X(K, max_generators=16):
+def davis_X(K):
     """X(K): the half-coordinate subdivision of Y(K).
 
     The origin (corner 0 of the ambient cube) keeps vertex id 0; the
     direction along coordinate s at the origin points to the center of the
     s-edge, reachable through the returned Subdivision maps.
     """
-    return subdivide_half(davis_Y(K, max_generators=max_generators))
+    return subdivide_half(davis_Y(K))
 
 
 def origin_direction(sub, s):

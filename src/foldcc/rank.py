@@ -38,10 +38,9 @@ from .geodesic import OrientedEdge
 
 @dataclass
 class RankReport:
-    """Outcome of the rank analysis plus the folding that produced it."""
+    """Outcome of the rank analysis plus the coloring (and folding) used."""
     verdict: str                    # "split" | "rank-one" | "inconclusive"
     dimension: int
-    folding: object
     coloring: object
     bipartition: tuple = None       # (T, S) as sorted tuples
     all_bipartitions: tuple = ()
@@ -59,7 +58,7 @@ class RankReport:
             ("verdict", self.verdict),
             ("dimension", self.dimension),
             ("colors", self.coloring.n),
-            ("folding.class_directions", self.folding.direction_of),
+            ("folding.class_directions", self.coloring.folding.direction_of),
         ]
         if self.bipartition is not None:
             pairs.append(("bipartition.T", self.bipartition[0]))
@@ -236,32 +235,32 @@ def detect_rank3(cplx, folding=None, assume_fcc=False, diagnostics=False):
     """
     if cplx.dim != 3:
         raise NotDim3("dimension is %d" % cplx.dim)
-    folding, coloring = _prepare(cplx, folding, assume_fcc)
-    report = _detect(cplx, folding, coloring, complete=True)
+    coloring = _prepare(cplx, folding, assume_fcc)
+    report = _detect(cplx, coloring, complete=True)
     if diagnostics:
         report.simv_summary = _simv_census(cplx, coloring)
         report.covering_table = _covering_table(cplx, coloring)
     return report
 
 
-def _detect(cplx, folding, coloring, complete):
+def _detect(cplx, coloring, complete):
     n = coloring.n
     bips, strict = _cross_pairs(cplx, coloring)
     if bips:
-        return RankReport("split", cplx.dim, folding, coloring,
+        return RankReport("split", cplx.dim, coloring,
                           bipartition=bips[0], all_bipartitions=tuple(bips))
     if strict is not None:
         v, a, b = strict
         path = geo.build_strict_pi_geodesic(cplx, coloring, v, a, b)
         if not geo.strict_pi_certificate(cplx, path):
             raise ConstructionFailed("strict-pi witness fails its certificate")
-        return RankReport("rank-one", cplx.dim, folding, coloring,
+        return RankReport("rank-one", cplx.dim, coloring,
                           witness_path=path, certificate="strict-pi")
     v = _single_class_vertex(cplx, coloring)
     if v is not None:
         path = geo.build_all_color_geodesic(
             cplx, coloring, v, frozenset(range(1, n + 1)))
-        return RankReport("rank-one", cplx.dim, folding, coloring,
+        return RankReport("rank-one", cplx.dim, coloring,
                           witness_path=path, certificate="all-colors")
     if complete and n == 3:
         path = _step_d_search(cplx, coloring)
@@ -270,9 +269,9 @@ def _detect(cplx, folding, coloring, complete):
         path = geo.all_color_turn_cycle(cplx, coloring)
         reason = "no closed all-color 1-skeleton geodesic"
     if path is not None:
-        return RankReport("rank-one", cplx.dim, folding, coloring,
+        return RankReport("rank-one", cplx.dim, coloring,
                           witness_path=path, certificate="all-colors")
-    return RankReport("inconclusive", cplx.dim, folding, coloring,
+    return RankReport("inconclusive", cplx.dim, coloring,
                       inconclusive_reason=reason)
 
 
@@ -285,8 +284,8 @@ def detect_rank_general(cplx, folding=None, assume_fcc=False,
     Inconclusive means that no bipartition splits and no such geodesic
     exists, which cannot happen in dimension <= 3.
     """
-    folding, coloring = _prepare(cplx, folding, assume_fcc)
-    report = _detect(cplx, folding, coloring, complete=False)
+    coloring = _prepare(cplx, folding, assume_fcc)
+    report = _detect(cplx, coloring, complete=False)
     if diagnostics:
         report.simv_summary = _simv_census(cplx, coloring)
         if cplx.dim >= 2:

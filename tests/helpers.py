@@ -10,9 +10,10 @@ from collections import deque
 
 from foldcc.core import (ComponentPiece, CubicalComplex, DisjointSet,
                          SimplicialComplex, _corner_picker, _face_pickers,
-                         canonical_cube, canonical_frame, is_flag, link)
+                         canonical_cube, canonical_frame, is_flag, link,
+                         spanning_forest_labels)
 from foldcc.errors import (ConstructionFailed, IsCircle, NotAComplex,
-                           NotClosed, NotConnected, NotSingleClass,
+                           NotClosed, NotConnected, NotFCC, NotSingleClass,
                            PreconditionFailed)
 from foldcc.decomposition import (CoveringReport, HyperplaneComponent,
                                   Subcomplex)
@@ -73,11 +74,6 @@ def davis_face_count(K, k):
     if k == 0:
         return 1 << S
     return K.n_simplices(k - 1) * (1 << (S - k))
-
-
-def all_corpus_edges(cplx):
-    for e in range(cplx.n_cubes(1)):
-        yield cplx.cubes[1][e]
 
 
 def cube_face(corners, axis, side):
@@ -298,6 +294,21 @@ def reference_hyperplanes(cplx, coloring, color):
         out.append(HyperplaneComponent(color, cx, tuple(verts)))
         carriers.append(carrier)
     return out, carriers
+
+
+def reference_direction_parity(cplx, coloring, color):
+    """The former decomposition.direction_parity: the 0/1 vertex labelling
+    flipped exactly by color-`color` edges, labelled along a fresh
+    spanning forest from the colors alone."""
+    edges = cplx.cubes[1]
+    flips = [1 if c == color else 0 for c in coloring.colors]
+    parity, off_tree = spanning_forest_labels(cplx, flips)
+    for e in off_tree:
+        u, w = edges[e]
+        if parity[u] ^ parity[w] != flips[e]:
+            raise NotFCC("coloring is not folding-induced "
+                         "(direction %d parity inconsistent)" % color)
+    return parity
 
 
 def reference_cube_map(cplx, coloring, color, parity, h, carrier, b, piece):

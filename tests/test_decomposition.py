@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foldcc import decomposition
+from foldcc import core, decomposition, folding
 from foldcc.core import (CubicalComplex, canonical_frame, is_flag, link,
                          validate_fcc)
 from foldcc.decomposition import (count_identity_holds, direction_parity,
@@ -20,12 +21,25 @@ from helpers import (assert_incidence, assert_locally_injective,
                      assert_same_complex, assert_vertex_set_lookups,
                      attaching_images, midcube_axes, midcube_corners,
                      reference_color_axis, reference_cube_map,
-                     reference_hyperplanes, reference_is_covering,
-                     reference_split, reference_subcomplex_XT, relabelled)
+                     reference_direction_parity, reference_hyperplanes,
+                     reference_is_covering, reference_split,
+                     reference_subcomplex_XT, relabelled)
 
 
 def colored(cplx):
     return cplx, coloring_from(find_folding(cplx))
+
+
+def assert_read_off_the_folding(cplx, coloring, color, components):
+    """H_color's component j is the j-th parallel class of direction
+    `color`, and the direction parity is the one a fresh spanning forest
+    gives."""
+    classes = coloring.folding.classes
+    assert [h.edge_of_vertex for h in components] == [
+        tuple(e for e, c in enumerate(classes.class_of) if c == cid)
+        for cid, d in enumerate(coloring.folding.direction_of) if d == color]
+    assert direction_parity(cplx, coloring, color) == \
+        reference_direction_parity(cplx, coloring, color)
 
 
 class TestSubcomplexXT:
@@ -269,12 +283,36 @@ class TestIsCovering:
 
 class TestDirectionParity:
     def test_rejects_non_folding_coloring(self, torus44):
-        cplx, coloring = torus44.complex, torus44.coloring
-        colors = list(coloring.colors)
-        colors[0] = 3 - colors[0]  # swap one edge's color
-        broken = EdgeColoring(cplx, 2, tuple(colors))
-        with pytest.raises(NotFCC):
-            direction_parity(cplx, broken, colors[0])
+        dirs = list(torus44.folding.direction_of)
+        dirs[0] = 3 - dirs[0]  # swap one class's direction
+        broken = EdgeColoring(dataclasses.replace(torus44.folding,
+                                                  direction_of=tuple(dirs)))
+        for color in (1, 2):
+            with pytest.raises(NotFCC):
+                direction_parity(torus44.complex, broken, color)
+
+    def test_read_off_the_folding_on_the_corpus(self, corpus_all):
+        for entry in corpus_all:
+            cplx, coloring = entry.complex, entry.coloring
+            for color in range(1, coloring.n + 1):
+                assert_read_off_the_folding(
+                    cplx, coloring, color, hyperplanes(cplx, coloring, color))
+
+    def test_graph_of_spaces_recomputes_nothing(self, monkeypatch):
+        # once find_folding has returned, parities and hyperplane classes
+        # are read off it: no spanning forest and no union-find runs
+        cplx = torus_grid((4, 4, 4))
+        coloring = coloring_from(find_folding(cplx))
+
+        def refuse(*args):
+            raise AssertionError("recomputed what the folding knows")
+        for mod in (core, folding, decomposition):
+            for attr, value in list(vars(mod).items()):
+                if value is core.spanning_forest_labels:
+                    monkeypatch.setattr(mod, attr, refuse)
+        monkeypatch.setattr(decomposition, "DisjointSet", refuse)
+        for color in (1, 2, 3):
+            graph_of_spaces(cplx, coloring, color)
 
 
 _XDA = davis_X(hemispherex(1, (1, 1), allow_dim1=True).complex).complex
@@ -309,6 +347,7 @@ def assert_matches_the_references(cplx, coloring):
             assert h.edge_of_vertex == ref.edge_of_vertex
             assert_incidence(h.complex)
             assert_vertex_set_lookups(h.complex)
+        assert_read_off_the_folding(cplx, coloring, color, got)
         if cplx.dim < 2:
             continue
         gos = graph_of_spaces(cplx, coloring, color)

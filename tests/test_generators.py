@@ -110,8 +110,10 @@ class TestDavisY:
             assert simplicial_isomorphic(link(Y, v).complex, K) is not None
 
     def test_generator_cap(self):
-        with pytest.raises(TooLarge):
-            davis_Y(standard_sphere(2), max_generators=5)
+        # 17 isolated vertices: one more generator than the cap
+        K = SimplicialComplex.from_maximal(17, [(v,) for v in range(17)])
+        with pytest.raises(TooLarge, match=r"2\^17 vertices exceeds"):
+            davis_Y(K)
 
 
 class TestSubdivision:
